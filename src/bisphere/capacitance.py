@@ -149,32 +149,6 @@ def capacitance_exact(
     )
 
 
-def capacitance_symmetric(
-    r: float, eps: float, tol: float = 1e-12, cap: int = DEFAULT_TERM_CAP
-) -> CapacitanceMatrix:
-    """Identical-sphere special case with alpha = sqrt(eps (r + eps/4)).
-
-    Algebraically the same series as capacitance_exact at r1 = r2 = r;
-    kept as a separate entry point because the reduced alpha form is the
-    one used by the identical-resonator formulas.
-    """
-    if not (r > 0.0 and eps > 0.0):
-        raise ValueError("radius and gap must be positive")
-    alpha = math.sqrt(eps * (r + 0.25 * eps))
-    xi0 = math.asinh(alpha / r)
-    s11, s22, s12, n_terms, tail_bound = _series_sums(alpha, xi0, xi0, tol, cap)
-    pref = 8.0 * math.pi * alpha
-    c12 = -pref * s12
-    return CapacitanceMatrix(
-        c11=pref * s11,
-        c12=c12,
-        c21=c12,
-        c22=pref * s22,
-        n_terms=n_terms,
-        tail_bound=tail_bound,
-    )
-
-
 def rescale(c: CapacitanceMatrix, pair: ResonatorPair) -> RescaledCapacitance:
     """Divide row i of C by the volume of sphere i."""
     v1, v2 = pair.volume1, pair.volume2

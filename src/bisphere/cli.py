@@ -32,7 +32,8 @@ from .errors import (
     RegimeUnderflowError,
     TruncationCapError,
 )
-from .fields import blowup_study, eval_grad_mode, eval_potential, potential_series
+from . import __version__
+from .fields import blowup_study, potential_field, potential_series
 from .geometry import (
     REGION_INSIDE_D1,
     REGION_INSIDE_D2,
@@ -50,8 +51,6 @@ from .spectra import (
     resonance_asymptotic,
     resonant_frequencies,
 )
-
-VERSION = "0.1.0"
 
 _NUMERICAL_ERRORS = (
     TruncationCapError,
@@ -226,7 +225,7 @@ def _emit(cfg, columns, rows, units, comments=(), summary=None) -> None:
     h = _config_hash(cfg)
     if cfg.format == "csv":
         lines = [
-            f"# artifact-version: {VERSION}",
+            f"# artifact-version: {__version__}",
             f"# config-hash: {h}",
             "# units: " + " ".join(f"{c}={units.get(c, '1')}" for c in columns),
             ",".join(columns),
@@ -240,7 +239,7 @@ def _emit(cfg, columns, rows, units, comments=(), summary=None) -> None:
             for row in rows
         ]
         obj = {
-            "version": VERSION,
+            "version": __version__,
             "config_hash": h,
             "units": units,
             "columns": columns,
@@ -445,13 +444,12 @@ def cmd_field(cfg: RunConfig) -> None:
                 "fields are only defined in the exterior"
             )
         p = to_bispherical(frame, xyz)
-        v1 = eval_potential(ps, 1, p)
-        v2 = eval_potential(ps, 2, p)
-        g1 = eval_grad_mode(1, sp, ps, p)
-        g2 = eval_grad_mode(2, sp, ps, p)
+        f = potential_field(ps, [p.xi], [p.theta], [p.phi])
+        g1 = f.mode_grad(sp.d1)[:, 0]
+        g2 = f.mode_grad(sp.d2)[:, 0]
         rows.append(
-            [xyz[0], xyz[1], xyz[2], v1, v2,
-             sp.d1 * v1 + v2, sp.d2 * v1 + v2,
+            [xyz[0], xyz[1], xyz[2], f.v[0, 0], f.v[1, 0],
+             f.mode(sp.d1)[0], f.mode(sp.d2)[0],
              g1[0], g1[1], g1[2], g2[0], g2[1], g2[2]]
         )
     columns = [

@@ -35,23 +35,40 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class PotentialSeries:
-    """Truncated potential series for one geometry.
+    """Truncation of the potential series for one geometry.
 
-    The per-degree weights are stored as natural logs of their absolute
-    values (signs: A^1 < 0 < B^1 and B^2 < 0 < A^2); evaluation never
-    exponentiates them in isolation. n_max certifies the value tail
-    below tol uniformly on the closed exterior strip, and the gradient
-    tail below tol relative to the natural 1/alpha gradient scale.
+    n_max certifies the value tail below tol uniformly on the closed
+    exterior strip, and the gradient tail below tol relative to the
+    natural 1/alpha gradient scale.
     """
 
     frame: BisphericalFrame
     n_max: int
     tol: float
     tail_bound: float
-    log_abs_a1: np.ndarray
-    log_abs_b1: np.ndarray
-    log_abs_a2: np.ndarray
-    log_abs_b2: np.ndarray
+
+
+@dataclass(frozen=True)
+class PotentialField:
+    """V_1, V_2 and their Cartesian gradients at a batch of strip points.
+
+    v[j - 1] holds V_j, shape (2, N); grad[j - 1] holds the (x1, x2, x3)
+    components of grad V_j, shape (2, 3, N), or grad is None when no
+    azimuths were given. Mode n is u_n = d_n V_1 + V_2 with the
+    eigenvector ratio d_n.
+    """
+
+    v: np.ndarray
+    grad: np.ndarray | None
+
+    def mode(self, d_n: float) -> np.ndarray:
+        return d_n * self.v[0] + self.v[1]
+
+    def mode_grad(self, d_n: float) -> np.ndarray:
+        return d_n * self.grad[0] + self.grad[1]
+
+    def mode_grad_norm(self, d_n: float) -> np.ndarray:
+        return np.linalg.norm(self.mode_grad(d_n), axis=0)
 
 
 @dataclass(frozen=True)
@@ -139,56 +156,46 @@ def potential_series(
     else:
         raise TruncationCapError("potential series truncation search did not settle")
 
+    return PotentialSeries(frame=frame, n_max=n_max, tol=tol, tail_bound=val)
+
+
+def _exponents(frame: BisphericalFrame, xi: np.ndarray):
+    """Combined-term exponent bases (p, q) and the d/dxi sign of V_1 and V_2."""
     s = frame.xi1 + frame.xi2
-    x = 2.0 * np.arange(n_max + 1, dtype=float) + 1.0
-    log_den = x * s + np.log1p(-np.exp(-x * s))  # log(E_n - 1)
-    return PotentialSeries(
-        frame=frame,
-        n_max=n_max,
-        tol=tol,
-        tail_bound=val,
-        log_abs_a1=-log_den,
-        log_abs_b1=x * frame.xi2 - log_den,
-        log_abs_a2=x * frame.xi1 - log_den,
-        log_abs_b2=-log_den,
+    return (
+        (2.0 * frame.xi1 + xi, 2.0 * s - xi, -1.0),
+        (2.0 * frame.xi2 - xi, 2.0 * s + xi, 1.0),
     )
 
 
-def _exponents(frame: BisphericalFrame, j: int, xi: np.ndarray):
-    """Combined-term exponent bases (p, q) and the d/dxi sign for V_j."""
-    s = frame.xi1 + frame.xi2
-    if j == 1:
-        return 2.0 * frame.xi1 + xi, 2.0 * s - xi, -1.0
-    if j == 2:
-        return 2.0 * frame.xi2 - xi, 2.0 * s + xi, 1.0
-    raise ValueError(f"potential index must be 1 or 2, got {j}")
-
-
 def _axis_series(
-    frame: BisphericalFrame, n_max: int, xi: np.ndarray, j: int
+    frame: BisphericalFrame, n_max: int, xi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Series sums (S, dS/dxi) on the gap axis theta = pi, P_n(-1) = (-1)^n.
 
     No Legendre recurrence is needed, so the sum vectorizes over the
-    degree as well as over the evaluation points.
+    degree as well as over the evaluation points. Row j - 1 of each
+    output belongs to V_j.
     """
     s = frame.xi1 + frame.xi2
-    p, q, sgn = _exponents(frame, j, xi)
+    bases = _exponents(frame, xi)
     npts = xi.shape[0]
-    out_s = np.zeros(npts)
-    out_sx = np.zeros(npts)
+    out_s = np.zeros((2, npts))
+    out_sx = np.zeros((2, npts))
     chunk = max(1024, (1 << 21) // max(npts, 1))
-    for n0 in range(0, n_max + 1, chunk):
-        n = np.arange(n0, min(n0 + chunk, n_max + 1), dtype=float)
-        m = n + 0.5
-        sign = np.where(n.astype(int) % 2 == 0, 1.0, -1.0)
-        denom = -np.expm1(-(2.0 * n + 1.0) * s)
-        ea = np.exp(-np.outer(m, p))
-        eb = np.exp(-np.outer(m, q))
-        t = (ea - eb) / denom[:, None]
-        dt = (sgn * m)[:, None] * (ea + eb) / denom[:, None]
-        out_s += sign @ t
-        out_sx += sign @ dt
+    for j, (p, q, sgn) in enumerate(bases):
+        for n0 in range(0, n_max + 1, chunk):
+            n = np.arange(n0, min(n0 + chunk, n_max + 1), dtype=float)
+            m = n + 0.5
+            sign = np.where(n.astype(int) % 2 == 0, 1.0, -1.0)
+            denom = -np.expm1(-(2.0 * n + 1.0) * s)
+            ea = np.exp(-np.outer(m, p))
+            eb = np.exp(-np.outer(m, q))
+            t = (ea - eb) / denom[:, None]
+            dt = (sgn * m)[:, None] * (ea + eb) / denom[:, None]
+            out_s[j] += sign @ t
+            out_sx[j] += sign @ dt
+            del ea, eb, t, dt  # free these blocks before the next are built
     return out_s, out_sx
 
 
@@ -197,18 +204,24 @@ def _strip_series(
     n_max: int,
     xi: np.ndarray,
     theta: np.ndarray,
-    j: int,
     want_dxi: bool,
     want_dth: bool,
     chunk: int = 512,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """General-point series sums (S, dS/dxi, dS/dtheta).
+    """General-point series sums (S, dS/dxi, dS/dtheta); row j - 1 is V_j.
 
     P_n(cos theta) and dP_n/dtheta advance by simultaneous three-term
     recurrences (the theta derivative has no 1/sin(theta) factor, so the
-    axis is not a special case); the exponential factors are applied in
-    vectorized blocks. The derivative recurrences only run when asked
-    for.
+    axis is not a special case), once for both potentials; the
+    exponential factors are applied in vectorized blocks. Points on a
+    common xi (a sphere surface) share their exponential factors, which
+    are formed once per distinct xi. The derivative recurrences only run
+    when asked for.
+
+    Each block runs in row slices small enough to stay in cache. A
+    slice's row sum is carried into the first row of the next, which
+    keeps numpy's sequential row summation over the whole block; a
+    single point sums pairwise, so it takes the block in one slice.
 
     Chunk partial sums are combined with Kahan compensation: near the
     pole theta=0 the unscaled sum reaches ~1/(2*xi1) while the target
@@ -217,29 +230,31 @@ def _strip_series(
     exceeds 1e-10 once gaps shrink past 1e-7.
     """
     s = frame.xi1 + frame.xi2
-    p, q, sgn = _exponents(frame, j, xi)
     x = np.cos(theta)
     msin = -np.sin(theta)  # d(cos theta)/dtheta
     npts = xi.shape[0]
-    out_s = np.zeros(npts)
-    out_sx = np.zeros(npts)
-    out_st = np.zeros(npts)
-    comp_s = np.zeros(npts)
-    comp_sx = np.zeros(npts)
-    comp_st = np.zeros(npts)
+    xi_u, spread = np.unique(xi, return_inverse=True)
+    if xi_u.size == npts:
+        xi_u, spread = xi, None
+    bases = _exponents(frame, xi_u)
+    out = np.zeros((3, 2, npts))  # S, dS/dxi, dS/dtheta
+    comp = np.zeros((3, 2, npts))
 
-    def kadd(acc: np.ndarray, comp: np.ndarray, val: np.ndarray) -> None:
-        y = val - comp
+    def kadd(k: int, j: int, val: np.ndarray) -> None:
+        acc, c = out[k, j], comp[k, j]
+        y = val - c
         tot = acc + y
-        comp[:] = (tot - acc) - y
+        c[:] = (tot - acc) - y
         acc[:] = tot
 
     p_prev = np.zeros(npts)
     p_cur = np.ones(npts)
     d_prev = np.zeros(npts)
     d_cur = np.zeros(npts)
-    p_blk = np.empty((chunk, npts))
-    d_blk = np.empty((chunk, npts)) if want_dth else None
+    rows = min(chunk, n_max + 1)
+    p_blk = np.empty((rows, npts))
+    d_blk = np.empty((rows, npts)) if want_dth else None
+    sub = rows if npts == 1 else max(1, 16384 // max(npts, 1))
     for n0 in range(0, n_max + 1, chunk):
         nb = min(n0 + chunk, n_max + 1) - n0
         for k in range(nb):
@@ -264,33 +279,35 @@ def _strip_series(
                 )
         n = np.arange(n0, n0 + nb, dtype=float)
         m = n + 0.5
-        denom = -np.expm1(-(2.0 * n + 1.0) * s)
-        ea = np.exp(-m[:, None] * p[None, :])
-        eb = np.exp(-m[:, None] * q[None, :])
-        t = (ea - eb) / denom[:, None]
-        kadd(out_s, comp_s, (t * p_blk[:nb]).sum(axis=0))
-        if want_dxi:
-            dt = (sgn * m)[:, None] * (ea + eb) / denom[:, None]
-            kadd(out_sx, comp_sx, (dt * p_blk[:nb]).sum(axis=0))
-        if want_dth:
-            kadd(out_st, comp_st, (t * d_blk[:nb]).sum(axis=0))
-    return out_s, out_sx, out_st
+        denom = -np.expm1(-(2.0 * n + 1.0) * s)[:, None]
+        for j, (p, q, sgn) in enumerate(bases):
+            sums = [None, None, None]
+            for r0 in range(0, nb, sub):
+                r = slice(r0, min(r0 + sub, nb))
+                ea = np.exp(-m[r, None] * p[None, :])
+                eb = np.exp(-m[r, None] * q[None, :])
+                t = (ea - eb) / denom[r]
+                if want_dxi:
+                    dt = (sgn * m[r])[:, None] * (ea + eb) / denom[r]
+                    if spread is not None:
+                        dt = dt[:, spread]
+                    sums[1] = _row_sum(sums[1], dt * p_blk[r])
+                if spread is not None:
+                    t = t[:, spread]
+                sums[0] = _row_sum(sums[0], t * p_blk[r])
+                if want_dth:
+                    sums[2] = _row_sum(sums[2], t * d_blk[r])
+            for k, val in enumerate(sums):
+                if val is not None:
+                    kadd(k, j, val)
+    return out[0], out[1], out[2]
 
 
-def _series_sums(
-    ps: PotentialSeries,
-    xi: np.ndarray,
-    theta: np.ndarray,
-    j: int,
-    want_grad: bool,
-):
-    on_axis = bool(np.all(np.abs(theta - math.pi) < 1e-12))
-    if on_axis:
-        s_val, s_xi = _axis_series(ps.frame, ps.n_max, xi, j)
-        return s_val, s_xi, np.zeros_like(s_val)
-    return _strip_series(
-        ps.frame, ps.n_max, xi, theta, j, want_dxi=want_grad, want_dth=want_grad
-    )
+def _row_sum(acc: np.ndarray | None, w: np.ndarray) -> np.ndarray:
+    """Continue a sequential row sum with the rows of w (w is consumed)."""
+    if acc is not None:
+        w[0] += acc
+    return w.sum(axis=0)
 
 
 def _check_strip(frame: BisphericalFrame, xi: np.ndarray) -> None:
@@ -312,48 +329,76 @@ def _metric_d(xi, theta):
     return 2.0 * (np.square(np.sinh(0.5 * xi)) + np.square(np.sin(0.5 * theta)))
 
 
-def _values(ps: PotentialSeries, xi, theta, j) -> np.ndarray:
-    s_val, _, _ = _series_sums(ps, xi, theta, j, want_grad=False)
-    d = _metric_d(xi, theta)
-    return _SQRT2 * np.sqrt(d) * s_val
+def potential_field(ps: PotentialSeries, xi, theta, phi=None) -> PotentialField:
+    """V_1, V_2 and, when the azimuths phi are given, their Cartesian gradients.
 
-
-def _grads(ps: PotentialSeries, xi, theta, phi, j):
-    """Cartesian gradient components of V_j at general strip points."""
-    s_val, s_xi, s_th = _series_sums(ps, xi, theta, j, want_grad=True)
-    return _assemble_grad(ps.frame, xi, theta, phi, s_val, s_xi, s_th)
-
-
-def _assemble_grad(frame, xi, theta, phi, s_val, s_xi, s_th):
+    The one evaluator of the potential series; xi, theta and phi are
+    equal-length arrays of points of the closed exterior strip, where a
+    boundary value is the one-sided exterior limit. Interior points
+    raise ValueError. The points pick the kernel: the gap-axis sum when
+    every theta = pi, the Legendre strip recurrence otherwise. When
+    every point lies on the same sphere, V_j is constant along it and
+    the gradient is purely normal: only d/dxi is summed and the theta
+    derivative is exactly zero.
+    """
+    frame = ps.frame
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    _check_strip(frame, xi)
+    want_grad = phi is not None
+    on_surface = bool(np.all(xi == -frame.xi1) or np.all(xi == frame.xi2))
+    if np.all(np.abs(theta - math.pi) < 1e-12):
+        s_val, s_xi = _axis_series(frame, ps.n_max, xi)
+        s_th = np.zeros_like(s_val)
+    else:
+        s_val, s_xi, s_th = _strip_series(
+            frame, ps.n_max, xi, theta,
+            want_dxi=want_grad, want_dth=want_grad and not on_surface,
+        )
+    # V_j = sqrt(2 d) S_j with d = cosh(xi) - cos(theta)
+    sqd = np.sqrt(_metric_d(xi, theta))
+    v = _SQRT2 * sqd * s_val
+    if not want_grad:
+        return PotentialField(v=v, grad=None)
     ch, sh = np.cosh(xi), np.sinh(xi)
     ct, st = np.cos(theta), np.sin(theta)
-    d = _metric_d(xi, theta)
-    sqd = np.sqrt(d)
     f_xi = _SQRT2 * (0.5 * sh / sqd * s_val + sqd * s_xi)
-    f_th = _SQRT2 * (0.5 * st / sqd * s_val + sqd * s_th)
+    if on_surface:
+        # purely normal gradient; 1 - cosh(xi) cos(theta) in half-angle
+        # form, which keeps its digits at the far pole of a thin-gap sphere
+        f_th = 0.0
+        w = 2.0 * (ch * np.square(np.sin(0.5 * theta)) - np.square(np.sinh(0.5 * xi)))
+    else:
+        f_th = _SQRT2 * (0.5 * st / sqd * s_val + sqd * s_th)
+        w = 1.0 - ch * ct
+    radial = f_xi * (-st * sh) - f_th * w
+    axial = f_xi * w + f_th * (-sh * st)
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
     inv_alpha = 1.0 / frame.alpha
-    cph, sph = np.cos(phi), np.sin(phi)
-    radial = f_xi * (-st * sh) + f_th * (ct * ch - 1.0)
-    gx = inv_alpha * radial * cph
-    gy = inv_alpha * radial * sph
-    gz = inv_alpha * (f_xi * (1.0 - ch * ct) + f_th * (-sh * st))
-    return gx, gy, gz
+    grad = np.stack(
+        [inv_alpha * radial * np.cos(phi), inv_alpha * radial * np.sin(phi),
+         inv_alpha * axial],
+        axis=1,
+    )
+    return PotentialField(v=v, grad=grad)
+
+
+def _potential_row(j: int) -> int:
+    if j not in (1, 2):
+        raise ValueError(f"potential index must be 1 or 2, got {j}")
+    return j - 1
 
 
 def eval_potential(ps: PotentialSeries, j: int, p: BisphericalPoint) -> float:
     """V_j at a point of the closed exterior strip; interior points error."""
-    xi = np.array([p.xi])
-    _check_strip(ps.frame, xi)
-    return float(_values(ps, xi, np.array([p.theta]), j)[0])
+    row = _potential_row(j)
+    return float(potential_field(ps, [p.xi], [p.theta]).v[row, 0])
 
 
 def eval_mode(n: int, sp: SpectralPair, ps: PotentialSeries, p: BisphericalPoint) -> float:
     """Eigenmode u_n = d_n V_1 + V_2 at a point of the closed strip."""
     d_n = _mode_ratio(n, sp)
-    xi = np.array([p.xi])
-    theta = np.array([p.theta])
-    _check_strip(ps.frame, xi)
-    return float(d_n * _values(ps, xi, theta, 1)[0] + _values(ps, xi, theta, 2)[0])
+    return float(potential_field(ps, [p.xi], [p.theta]).mode(d_n)[0])
 
 
 def eval_grad_potential(
@@ -364,12 +409,8 @@ def eval_grad_potential(
     Valid on the closed exterior strip, where the boundary value is the
     one-sided exterior limit; interior points are rejected.
     """
-    xi = np.array([p.xi])
-    theta = np.array([p.theta])
-    phi = np.array([p.phi])
-    _check_strip(ps.frame, xi)
-    g = _grads(ps, xi, theta, phi, j)
-    return np.array([float(c[0]) for c in g])
+    row = _potential_row(j)
+    return potential_field(ps, [p.xi], [p.theta], [p.phi]).grad[row, :, 0]
 
 
 def eval_grad_mode(
@@ -381,13 +422,7 @@ def eval_grad_mode(
     one-sided exterior limit; interior points are rejected.
     """
     d_n = _mode_ratio(n, sp)
-    xi = np.array([p.xi])
-    theta = np.array([p.theta])
-    phi = np.array([p.phi])
-    _check_strip(ps.frame, xi)
-    g1 = _grads(ps, xi, theta, phi, 1)
-    g2 = _grads(ps, xi, theta, phi, 2)
-    return np.array([float(d_n * a[0] + b[0]) for a, b in zip(g1, g2)])
+    return potential_field(ps, [p.xi], [p.theta], [p.phi]).mode_grad(d_n)[:, 0]
 
 
 def _mode_ratio(n: int, sp: SpectralPair) -> float:
@@ -398,46 +433,32 @@ def _mode_ratio(n: int, sp: SpectralPair) -> float:
     raise ValueError(f"mode index must be 1 or 2, got {n}")
 
 
-def _axis_grad_mag(ps: PotentialSeries, d_n: float, xi: np.ndarray) -> np.ndarray:
-    """|grad u_n| on the gap axis; the gradient there is purely axial."""
-    s1, s1x = _axis_series(ps.frame, ps.n_max, xi, 1)
-    s2, s2x = _axis_series(ps.frame, ps.n_max, xi, 2)
-    return _axis_mag_from_sums(ps.frame, d_n, xi, s1, s1x, s2, s2x)
-
-
-def _axis_mag_from_sums(frame, d_n, xi, s1, s1x, s2, s2x):
-    d = np.cosh(xi) + 1.0
-    sqd = np.sqrt(d)
-    s_val = d_n * s1 + s2
-    s_xi = d_n * s1x + s2x
-    f_xi = _SQRT2 * (0.5 * np.sinh(xi) / sqd * s_val + sqd * s_xi)
-    return np.abs(f_xi) * d / frame.alpha
-
-
 def max_gap_gradient(
     n: int, sp: SpectralPair, ps: PotentialSeries, samples: int = 400
 ) -> GradientStudyRow:
     """Maximise |grad u| over the gap segment (theta = pi, -xi1 <= xi <= xi2).
 
     Dense sampling followed by golden-section refinement around the best
-    sample. Both modes are maximised in one pass since they share the
-    series sums; the reported location is the maximiser of mode n.
+    sample. Both modes are maximised from one axis scan since they share
+    the series sums; the reported location is the maximiser of mode n.
     """
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
     frame = ps.frame
-    xis = np.linspace(-frame.xi1, frame.xi2, samples)
-    s1, s1x = _axis_series(frame, ps.n_max, xis, 1)
-    s2, s2x = _axis_series(frame, ps.n_max, xis, 2)
 
+    def axis_field(xi: np.ndarray) -> PotentialField:
+        return potential_field(ps, xi, np.full_like(xi, math.pi), np.zeros_like(xi))
+
+    xis = np.linspace(-frame.xi1, frame.xi2, samples)
+    scan = axis_field(xis)
     results = {}
     for mode, d_n in ((1, sp.d1), (2, sp.d2)):
-        g = _axis_mag_from_sums(frame, d_n, xis, s1, s1x, s2, s2x)
+        g = scan.mode_grad_norm(d_n)
         i = int(np.argmax(g))
         lo = xis[max(i - 1, 0)]
         hi = xis[min(i + 1, samples - 1)]
         best_x, best_g = _golden_max(
-            lambda t: float(_axis_grad_mag(ps, d_n, np.array([t]))[0]), lo, hi
+            lambda t: float(axis_field(np.array([t])).mode_grad_norm(d_n)[0]), lo, hi
         )
         if g[i] > best_g:
             best_x, best_g = float(xis[i]), float(g[i])
@@ -531,22 +552,9 @@ def _surface_grad_max(
     theta = np.append(math.pi - u, math.pi)
     maxima = [0.0] * len(ratios)
     for xi0 in (-frame.xi1, frame.xi2):
-        xi = np.full_like(theta, xi0)
-        s1, s1x, _ = _strip_series(
-            frame, ps.n_max, xi, theta, 1, want_dxi=True, want_dth=False
-        )
-        s2, s2x, _ = _strip_series(
-            frame, ps.n_max, xi, theta, 2, want_dxi=True, want_dth=False
-        )
-        d = _metric_d(xi0, theta)
-        sqd = np.sqrt(d)
-        sh = math.sinh(xi0)
+        f = potential_field(ps, np.full_like(theta, xi0), theta, np.zeros_like(theta))
         for k, d_n in enumerate(ratios):
-            f_xi = _SQRT2 * (
-                0.5 * sh / sqd * (d_n * s1 + s2) + sqd * (d_n * s1x + s2x)
-            )
-            g = np.abs(f_xi) * d / frame.alpha
-            maxima[k] = max(maxima[k], float(np.max(g)))
+            maxima[k] = max(maxima[k], float(np.max(f.mode_grad_norm(d_n))))
     return maxima
 
 

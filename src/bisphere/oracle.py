@@ -1,10 +1,11 @@
 """Independent brute-force verifiers: image charges, flux quadrature, FD.
 
-Nothing here shares math with the series modules. The image-charge
-iteration is classical electrostatics on the axis; the flux quadrature
-integrates the series' normal derivative over a sphere, which checks the
-coefficients through a completely different identity; the finite
-difference helpers certify analytic gradients and harmonicity.
+The image-charge iteration is classical electrostatics on the axis and
+shares no math with the series modules. The flux quadrature integrates
+the normal derivative of the public field evaluator over a sphere, which
+checks the capacitance series through a completely different identity;
+the finite difference helpers certify analytic gradients and
+harmonicity.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .capacitance import CapacitanceMatrix
 from .errors import QuadratureConvergenceError
-from .fields import _SQRT2, PotentialSeries, _strip_series
+from .fields import PotentialSeries, potential_field
 from .geometry import ResonatorPair
 
 _FOUR_PI = 4.0 * math.pi
@@ -115,46 +116,6 @@ def image_charge_capacitance(
     )
 
 
-def _boundary_flux(
-    frame,
-    i: int,
-    dxi_profile,
-    *,
-    tol: float = 1e-8,
-    max_nodes: int = 16384,
-) -> float:
-    """-integral of the outward normal derivative over sphere i.
-
-    dxi_profile(theta array) must return the xi-derivative of the field
-    on the boundary circle xi = xi_i. On the xi = const surface the
-    element is alpha^2 sin(theta) / d^2 dtheta dphi and the outward
-    normal derivative is -(d/alpha) d/dxi on sphere 2, +(d/alpha) d/dxi
-    on sphere 1, so the signed flux reduces to a 1D theta integral.
-    Gauss-Legendre order doubles until two estimates agree to 0.1 tol
-    relative.
-    """
-    if i not in (1, 2):
-        raise ValueError(f"sphere index must be 1 or 2, got {i}")
-    xi0 = frame.xi2 if i == 2 else -frame.xi1
-    sign = 1.0 if i == 2 else -1.0
-    ch = math.cosh(xi0)
-
-    prev = None
-    nodes = 256
-    while nodes <= max_nodes:
-        t, w = np.polynomial.legendre.leggauss(nodes)
-        theta = (t + 1.0) * (math.pi / 2.0)
-        vals = dxi_profile(theta) * np.sin(theta) / (ch - np.cos(theta))
-        est = (math.pi / 2.0) * float(w @ vals)
-        if prev is not None and abs(est - prev) <= 0.1 * tol * max(abs(est), 1e-300):
-            return sign * 2.0 * math.pi * frame.alpha * est
-        prev = est
-        nodes *= 2
-    raise QuadratureConvergenceError(
-        f"boundary flux did not converge by {max_nodes} nodes"
-    )
-
-
 def flux_quadrature(
     ps: PotentialSeries,
     j: int,
@@ -163,22 +124,49 @@ def flux_quadrature(
     tol: float = 1e-8,
     max_nodes: int = 16384,
 ) -> float:
-    """C_ij recomputed as -flux of grad V_j out of sphere i."""
+    """C_ij recomputed as -flux of grad V_j out of sphere i.
+
+    The Cartesian gradient on the boundary circle xi = xi_i (phi = 0) is
+    projected on the geometric outward normal (x - c_i) / r_i, so the
+    check covers the gradient's direction as well as its size. With the
+    surface element alpha^2 sin(theta) / d^2 dtheta dphi,
+    d = cosh(xi_i) - cos(theta), the flux reduces to a 1D theta
+    integral. Gauss-Legendre order doubles until two estimates agree to
+    0.1 tol relative.
+    """
+    if j not in (1, 2):
+        raise ValueError(f"potential index must be 1 or 2, got {j}")
+    if i not in (1, 2):
+        raise ValueError(f"sphere index must be 1 or 2, got {i}")
     frame = ps.frame
-    xi0 = frame.xi2 if i == 2 else -frame.xi1
+    al = frame.alpha
+    if i == 2:
+        xi0, center, radius = frame.xi2, frame.c2, frame.r2
+    else:
+        xi0, center, radius = -frame.xi1, frame.c1, frame.r1
 
-    def dxi_profile(theta: np.ndarray) -> np.ndarray:
-        xi = np.full_like(theta, xi0)
-        s_val, s_xi, _ = _strip_series(
-            frame, ps.n_max, xi, theta, j, want_dxi=True, want_dth=False
-        )
-        # half-angle form of cosh(xi0) - cos(theta): no cancellation
-        # for thin gaps where xi0 and the near-pole nodes are both small
+    prev = None
+    nodes = 256
+    while nodes <= max_nodes:
+        t, w = np.polynomial.legendre.leggauss(nodes)
+        theta = (t + 1.0) * (math.pi / 2.0)
+        grad = potential_field(
+            ps, np.full_like(theta, xi0), theta, np.zeros_like(theta)
+        ).grad[j - 1]
+        # half-angle form of d: no cancellation for thin gaps, where xi0
+        # and the near-pole nodes are both small
         d = 2.0 * (math.sinh(0.5 * xi0) ** 2 + np.square(np.sin(0.5 * theta)))
-        sqd = np.sqrt(d)
-        return _SQRT2 * (0.5 * math.sinh(xi0) / sqd * s_val + sqd * s_xi)
-
-    return _boundary_flux(frame, i, dxi_profile, tol=tol, max_nodes=max_nodes)
+        x1 = al * np.sin(theta) / d
+        x3 = al * math.sinh(xi0) / d
+        dn = (grad[0] * x1 + grad[2] * (x3 - center)) / radius
+        est = (math.pi / 2.0) * float(w @ (dn * np.sin(theta) / (d * d)))
+        if prev is not None and abs(est - prev) <= 0.1 * tol * max(abs(est), 1e-300):
+            return -2.0 * math.pi * al * al * est
+        prev = est
+        nodes *= 2
+    raise QuadratureConvergenceError(
+        f"boundary flux did not converge by {max_nodes} nodes"
+    )
 
 
 def fd_check_gradient(f, p, h: float, *, clearance: float | None = None) -> np.ndarray:

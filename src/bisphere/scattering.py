@@ -24,7 +24,7 @@ import numpy as np
 
 from .capacitance import CapacitanceMatrix, rescale
 from .errors import PoleProximityError
-from .fields import PotentialSeries, _mode_ratio, _values, _check_strip
+from .fields import PotentialSeries, potential_field
 from .geometry import BisphericalPoint, ResonatorPair, to_bispherical
 from .spectra import Material, SpectralPair, eigen, resonant_frequencies
 
@@ -154,11 +154,7 @@ def eval_scattered(
     """
     x = np.asarray(x, dtype=float)
     p = to_bispherical(ps.frame, x)
-    xi = np.array([p.xi])
-    theta = np.array([p.theta])
-    _check_strip(ps.frame, xi)
-    v1 = float(_values(ps, xi, theta, 1)[0])
-    v2 = float(_values(ps, xi, theta, 2)[0])
+    v1, v2 = (float(v) for v in potential_field(ps, [p.xi], [p.theta]).v[:, 0])
     u1 = sp.d1 * v1 + v2
     u2 = sp.d2 * v1 + v2
     u0 = wave.value(np.zeros(3))
@@ -183,10 +179,6 @@ def response_curve(
     rows = []
     for omega in omega_grid:
         wave = IncidentWave.plane_wave(float(omega), direction, material, amplitude)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            mc = modal_coefficients(
-                cmat, pair, material, wave, pole_guard=pole_guard
-            )
+        mc = modal_coefficients(cmat, pair, material, wave, pole_guard=pole_guard)
         rows.append((float(omega), abs(mc.a), abs(mc.b)))
     return rows

@@ -20,7 +20,6 @@ from bisphere import (
     boundary_distance,
     capacitance_asymptotic_rescaled,
     capacitance_exact,
-    capacitance_symmetric,
     eigen,
     eval_grad_mode,
     eval_grad_potential,
@@ -34,6 +33,7 @@ from bisphere import (
     image_charge_capacitance,
     log_epsilon_from_regime,
     modal_coefficients,
+    potential_field,
     potential_series,
     rescale,
     resonance_asymptotic,
@@ -42,7 +42,6 @@ from bisphere import (
     sigma_terms,
     to_bispherical,
 )
-from bisphere.fields import _values
 
 Z_HAT = np.array([0.0, 0.0, 1.0])
 
@@ -90,7 +89,7 @@ def test_criterion_1_capacitance_against_both_oracles():
 def test_criterion_2_symmetric_small_eigenvalue_constant():
     t0 = time.perf_counter()
     pair = ResonatorPair(1.0, 1.0, 1e-6)
-    sp = eigen(rescale(capacitance_symmetric(1.0, 1e-6), pair))
+    sp = eigen(rescale(capacitance_exact(frame_from_pair(pair)), pair))
     target = 3.0 * math.log(2.0)
     rel = abs(sp.lambda1 / target - 1.0)
     _finish(
@@ -163,7 +162,7 @@ def test_criterion_5_boundary_conditions_to_tolerance():
         frame = frame_from_pair(ResonatorPair(1.0, 2.0, eps))
         ps = potential_series(frame, tol=1e-10)
         xi = np.concatenate([np.full(200, -frame.xi1), np.full(200, frame.xi2)])
-        v1 = _values(ps, xi, theta, 1)
+        v1 = potential_field(ps, xi, theta).v[0]
         dev = max(
             float(np.max(np.abs(v1[:200] - 1.0))),
             float(np.max(np.abs(v1[200:]))),
@@ -252,7 +251,7 @@ def test_criterion_8_response_peaks_at_resonances():
     dev_b = abs(peak_b / freqs.omega2 - 1.0)
 
     pair_s = ResonatorPair(1.0, 1.0, 0.05)
-    cm_s = capacitance_symmetric(1.0, 0.05)
+    cm_s = capacitance_exact(frame_from_pair(pair_s))
     wave = IncidentWave.plane_wave(0.15, Z_HAT, mat)
     b_num = abs(modal_coefficients(cm_s, pair_s, mat, wave).b_numerator)
 

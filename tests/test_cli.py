@@ -3,6 +3,17 @@ import math
 
 import pytest
 
+from bisphere import (
+    ResonatorPair,
+    capacitance_exact,
+    eigen,
+    eval_grad_mode,
+    eval_potential,
+    frame_from_pair,
+    potential_series,
+    rescale,
+    to_bispherical,
+)
 from bisphere.cli import run
 
 
@@ -161,6 +172,38 @@ def test_field_at_points(tmp_path):
     gap_row = dict(zip(header, rows[0]))
     # on the gap axis the potentials sum close to the boundary value 1
     assert float(gap_row["v1"]) + float(gap_row["v2"]) == pytest.approx(1.0, abs=0.1)
+
+
+@pytest.mark.parametrize("eps", [0.05, 1e-4])
+def test_field_rows_equal_scalar_api(tmp_path, eps):
+    pair = ResonatorPair(1.0, 2.0, eps)
+    frame = frame_from_pair(pair)
+    top = frame.c2 - frame.r2  # gap-facing pole of sphere 2
+    a = 2.5  # polar angle of a boundary point on sphere 1, seen from its centre
+    points = [
+        (0.0, 0.0, 0.0),  # on the gap axis
+        (0.3 * frame.alpha, -0.2 * frame.alpha, 0.5 * top),  # off axis, in the gap
+        (0.0, 0.0, top),  # boundary, on the axis
+        (frame.r1 * math.sin(a), 0.0, frame.c1 + frame.r1 * math.cos(a)),  # boundary
+        (0.3, 0.1, -6.0),  # far
+    ]
+    out = tmp_path / "field.csv"
+    args = ["field", "--r1", "1", "--r2", "2", "--eps", repr(eps), "--out", str(out)]
+    args += [f"--point={x!r},{y!r},{z!r}" for x, y, z in points]
+    assert run(args) == 0
+    rows = _data_rows(_read(out))
+    assert len(rows) == len(points)
+
+    ps = potential_series(frame, tol=1e-10)
+    sp = eigen(rescale(capacitance_exact(frame, tol=1e-10), pair))
+    for xyz, row in zip(points, rows):
+        p = to_bispherical(frame, xyz)
+        v1 = eval_potential(ps, 1, p)
+        v2 = eval_potential(ps, 2, p)
+        g1 = eval_grad_mode(1, sp, ps, p)
+        g2 = eval_grad_mode(2, sp, ps, p)
+        want = [*xyz, v1, v2, sp.d1 * v1 + v2, sp.d2 * v1 + v2, *g1, *g2]
+        assert [float(c) for c in row] == want
 
 
 def test_field_interior_point_is_config_error(capsys):

@@ -26,7 +26,7 @@ from bisphere import (
     to_bispherical,
     to_cartesian,
 )
-from bisphere.fields import _surface_grad_max
+from bisphere.fields import _strip_series, _surface_grad_max
 
 
 def _thetas(n=200):
@@ -37,7 +37,67 @@ def _thetas(n=200):
 def test_potential_series_metadata(series_12):
     assert series_12.n_max > 0
     assert series_12.tail_bound <= series_12.tol
-    assert series_12.log_abs_a1.shape == (series_12.n_max + 1,)
+
+
+def _plain_strip_sums(frame, n_max, xi, theta, j, chunk=512):
+    """(S, dS/dxi, dS/dtheta) of V_j by the plain recurrence, one potential
+    at a time and one whole 512-degree block at a time: the reference the
+    sliced, two-potential kernel must reproduce bit for bit."""
+    s = frame.xi1 + frame.xi2
+    if j == 1:
+        p, q, sgn = 2.0 * frame.xi1 + xi, 2.0 * s - xi, -1.0
+    else:
+        p, q, sgn = 2.0 * frame.xi2 - xi, 2.0 * s + xi, 1.0
+    x, msin = np.cos(theta), -np.sin(theta)
+    leg = np.zeros((n_max + 2, xi.size))
+    dleg = np.zeros((n_max + 2, xi.size))
+    leg[0], leg[1], dleg[1] = 1.0, x, msin
+    for n in range(1, n_max + 1):
+        leg[n + 1] = ((2 * n + 1) * x * leg[n] - n * leg[n - 1]) / (n + 1)
+        dleg[n + 1] = (
+            (2 * n + 1) * (msin * leg[n] + x * dleg[n]) - n * dleg[n - 1]
+        ) / (n + 1)
+    out = np.zeros((3, xi.size))
+    comp = np.zeros((3, xi.size))
+    for n0 in range(0, n_max + 1, chunk):
+        n = np.arange(n0, min(n0 + chunk, n_max + 1), dtype=float)
+        m = n + 0.5
+        denom = -np.expm1(-(2.0 * n + 1.0) * s)[:, None]
+        ea = np.exp(-m[:, None] * p[None, :])
+        eb = np.exp(-m[:, None] * q[None, :])
+        t = (ea - eb) / denom
+        dt = (sgn * m)[:, None] * (ea + eb) / denom
+        rows = slice(n0, n0 + n.size)
+        parts = ((t * leg[rows]).sum(axis=0), (dt * leg[rows]).sum(axis=0),
+                 (t * dleg[rows]).sum(axis=0))
+        for k, val in enumerate(parts):  # Kahan-compensated block sums
+            y = val - comp[k]
+            tot = out[k] + y
+            comp[k] = (tot - out[k]) - y
+            out[k] = tot
+    return out
+
+
+@pytest.mark.parametrize("eps", [0.05, 1e-3])
+def test_strip_kernel_matches_plain_reference(eps):
+    frame = frame_from_pair(ResonatorPair(1.0, 2.0, eps))
+    n_max = potential_series(frame, tol=1e-10).n_max
+    rng = np.random.default_rng(7)
+    cases = []
+    for npts in (1, 7, 300):
+        cases.append((rng.uniform(-frame.xi1, frame.xi2, npts),
+                      rng.uniform(0.0, math.pi, npts)))
+    theta = rng.uniform(0.0, math.pi, 300)
+    cases.append((np.full(300, frame.xi2), theta))  # one sphere surface
+    cases.append((np.where(theta < 1.5, -frame.xi1, frame.xi2), theta))  # both
+    for xi, th in cases:
+        full = _strip_series(frame, n_max, xi, th, want_dxi=True, want_dth=True)
+        values, _, _ = _strip_series(frame, n_max, xi, th, want_dxi=False, want_dth=False)
+        for j in (1, 2):
+            want = _plain_strip_sums(frame, n_max, xi, th, j)
+            for k in range(3):
+                assert np.array_equal(full[k][j - 1], want[k])
+            assert np.array_equal(values[j - 1], want[0])
 
 
 def test_boundary_traces(frame_12, series_12):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,12 +153,40 @@ def test_boundary_distance_signs(frame_12):
     assert abs(boundary_distance(frame_12, on_surface)) < 1e-14
 
 
-def test_tiny_gap_frame_uses_extended_precision():
-    # below 1e-8 the float formula for alpha loses digits; the frame must not
+def test_tiny_gap_frame_keeps_full_precision():
+    # a tiny gap must not cost the frame its digits
     fr = frame_from_pair(ResonatorPair(1.0, 1.0, 1e-12))
     # alpha = sqrt(eps (r + eps/4)) for equal spheres
     assert fr.alpha == pytest.approx(1e-6, rel=1e-10)
     assert fr.xi1 == pytest.approx(1e-6, rel=1e-6)
+
+
+def _frame_50_digits(r1, r2, eps):
+    with mpmath.workdps(50):
+        r1, r2, eps = mpmath.mpf(r1), mpmath.mpf(r2), mpmath.mpf(eps)
+        alpha = mpmath.sqrt(
+            eps * (2 * r1 + eps) * (2 * r2 + eps) * (2 * r1 + 2 * r2 + eps)
+        ) / (2 * (r1 + r2 + eps))
+        return (
+            alpha,
+            mpmath.asinh(alpha / r1),
+            mpmath.asinh(alpha / r2),
+            -mpmath.sqrt(r1 * r1 + alpha * alpha),
+            mpmath.sqrt(r2 * r2 + alpha * alpha),
+        )
+
+
+@pytest.mark.parametrize(
+    "r1,r2", [(1, 2), (1, 1), (0.5, 3), (1, 1e3), (7.3, 0.2), (0.1, 10), (1e-3, 1)]
+)
+def test_frame_matches_50_digit_evaluation_at_tiny_gaps(r1, r2):
+    for k in range(8, 308):
+        eps = 10.0**-k
+        fr = frame_from_pair(ResonatorPair(r1, r2, eps))
+        got = (fr.alpha, fr.xi1, fr.xi2, fr.c1, fr.c2)
+        for name, g, want in zip(("alpha", "xi1", "xi2", "c1", "c2"), got,
+                                 _frame_50_digits(r1, r2, eps)):
+            assert g == pytest.approx(float(want), rel=1e-14), (name, eps)
 
 
 def test_regime_gap_monotone_and_consistent():

@@ -9,7 +9,6 @@ from bisphere import (
     PoleProximityError,
     ResonatorPair,
     capacitance_exact,
-    capacitance_symmetric,
     eval_scattered,
     frame_from_pair,
     image_charge_capacitance,
@@ -42,8 +41,8 @@ def test_plane_wave_validation(water_air):
 def test_symmetric_pair_cannot_excite_anti_phase_mode(water_air):
     # equal spheres see the same incident value, so the anti-phase
     # numerator cancels exactly, not just to rounding
-    cmat = capacitance_symmetric(1.0, 0.05)
     pair = ResonatorPair(1.0, 1.0, 0.05)
+    cmat = capacitance_exact(frame_from_pair(pair))
     mc = modal_coefficients(cmat, pair, water_air, _wave(0.15, water_air))
     assert mc.b_numerator == 0.0
     assert mc.b == 0.0
@@ -155,3 +154,14 @@ def test_response_curve_peaks_at_first_resonance(pair_12, cap_12, water_air):
     assert len(rows) == len(grid)
     peak = max(rows, key=lambda r: r[1])
     assert peak[0] == pytest.approx(om1, rel=5e-3)
+
+
+def test_response_curve_warns_outside_subwavelength_regime(water_air):
+    # v = 1 for this material, so k r2 = 2 omega runs from 0.8 to 1.2
+    pair = ResonatorPair(1.0, 2.0, 0.05)
+    cmat = capacitance_exact(frame_from_pair(pair))
+    grid = np.linspace(0.4, 0.6, 3)
+    with pytest.warns(UserWarning, match="k \\* max radius") as caught:
+        rows = response_curve(cmat, pair, water_air, grid, Z)
+    assert len(rows) == 3
+    assert len(caught) == 3

@@ -7,7 +7,6 @@ from bisphere import (
     Material,
     ResonatorPair,
     capacitance_exact,
-    capacitance_symmetric,
     eigen,
     frame_from_pair,
     rescale,
@@ -60,7 +59,7 @@ def test_eigen_against_quadratic_oracle(cap_12, pair_12, spectral_12):
 
 def test_eigen_symmetric_exact_branch():
     pair = ResonatorPair(1.0, 1.0, 0.01)
-    ct = rescale(capacitance_symmetric(1.0, 0.01), pair)
+    ct = rescale(capacitance_exact(frame_from_pair(pair)), pair)
     sp = eigen(ct)
     # identical spheres: eigenpairs come out exactly, not via the quadratic
     assert sp.lambda1 == ct.ct11 + ct.ct12
