@@ -35,7 +35,6 @@ from .fields import (
     eval_mode,
     eval_potential,
     h_decomposition,
-    max_gap_gradient,
     potential_field,
     potential_series,
 )
@@ -132,7 +131,6 @@ __all__ = [
     "legendre_p",
     "legendre_p_deriv",
     "log_epsilon_from_regime",
-    "max_gap_gradient",
     "modal_coefficients",
     "potential_field",
     "potential_series",

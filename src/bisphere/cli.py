@@ -82,7 +82,6 @@ class RunConfig:
     out: str | None = None
     format: str = "csv"
     jobs: int = 1
-    mode: int = 2
     samples: int = 400
     eps_grid: str | None = None
     delta_grid: str | None = None
@@ -155,16 +154,15 @@ def _resolve_epsilon(cfg: RunConfig) -> float:
     raise ConfigError("geometry needs --eps or a regime (--delta --beta [--c0])")
 
 
-def _material(cfg: RunConfig, delta: float | None = None) -> Material:
+def _material(cfg: RunConfig) -> Material:
     """Material from the density/bulk-modulus flags.
 
     In regime mode the contrast delta overrides both interior
     parameters proportionally, which keeps the interior wave speed
     equal to the unscaled one.
     """
-    if delta is None and cfg.delta is not None and cfg.beta is not None:
-        delta = cfg.delta
-    if delta is not None:
+    delta = cfg.delta
+    if delta is not None and cfg.beta is not None:
         if not 0.0 < delta < 1.0:
             raise ConfigError(f"contrast delta must be in (0, 1), got {delta}")
         return Material(
@@ -355,18 +353,23 @@ _RES_UNITS = {
 }
 
 
+def _emit_delta_sweep(cfg: RunConfig, r1: float, r2: float) -> None:
+    """The regime table over --delta-grid, one _resonance_row per contrast."""
+    if cfg.beta is None:
+        raise ConfigError("a delta sweep needs the regime exponent --beta")
+    c0 = cfg.c0 if cfg.c0 is not None else 1.0
+    deltas = _parse_grid(cfg.delta_grid, log_scale=True, name="delta")
+    for d in deltas:
+        if not 0.0 < d < 1.0:
+            raise ConfigError(f"contrast delta must be in (0, 1), got {d}")
+    cells = [(r1, r2, d, cfg.beta, c0) for d in deltas]
+    _emit(cfg, _RES_COLUMNS, _map_cells(_sweep_res_cell, cells, cfg.jobs), _RES_UNITS)
+
+
 def cmd_resonances(cfg: RunConfig) -> None:
     r1, r2 = _require_radii(cfg)
     if cfg.delta_grid is not None:
-        if cfg.beta is None:
-            raise ConfigError("a delta sweep needs the regime exponent --beta")
-        c0 = cfg.c0 if cfg.c0 is not None else 1.0
-        deltas = _parse_grid(cfg.delta_grid, log_scale=True, name="delta")
-        for d in deltas:
-            if not 0.0 < d < 1.0:
-                raise ConfigError(f"contrast delta must be in (0, 1), got {d}")
-        rows = [_resonance_row(r1, r2, d, cfg.beta, c0) for d in deltas]
-        _emit(cfg, _RES_COLUMNS, rows, _RES_UNITS)
+        _emit_delta_sweep(cfg, r1, r2)
         return
 
     eps = _resolve_epsilon(cfg)
@@ -506,16 +509,7 @@ def cmd_sweep(cfg: RunConfig) -> None:
     elif cfg.quantity == "resonances":
         if cfg.delta_grid is None:
             raise ConfigError("a resonance sweep needs --delta-grid")
-        if cfg.beta is None:
-            raise ConfigError("a resonance sweep needs the regime exponent --beta")
-        c0 = cfg.c0 if cfg.c0 is not None else 1.0
-        deltas = _parse_grid(cfg.delta_grid, log_scale=True, name="delta")
-        for d in deltas:
-            if not 0.0 < d < 1.0:
-                raise ConfigError(f"contrast delta must be in (0, 1), got {d}")
-        cells = [(r1, r2, d, cfg.beta, c0) for d in deltas]
-        rows = _map_cells(_sweep_res_cell, cells, cfg.jobs)
-        _emit(cfg, _RES_COLUMNS, rows, _RES_UNITS)
+        _emit_delta_sweep(cfg, r1, r2)
     else:
         raise ConfigError("sweep needs --quantity capacitance or resonances")
 
@@ -573,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("blowup", help="gap-gradient blow-up study")
     common(p)
     p.add_argument("--eps-grid", dest="eps_grid", help="lo:hi:n log grid or comma list")
-    p.add_argument("--samples", type=int, help="gap-axis samples per gap")
+    p.add_argument("--samples", type=int, help="surface samples per sphere (>= 100)")
 
     p = sub.add_parser("field", help="potentials, modes and gradients at points")
     common(p)

@@ -30,7 +30,6 @@ from .geometry import BisphericalFrame, BisphericalPoint
 from .spectra import SpectralPair
 
 _SQRT2 = math.sqrt(2.0)
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,11 @@ class ModeDecomposition:
 
 @dataclass(frozen=True)
 class GradientStudyRow:
-    """Gap-axis gradient maxima of both modes at one gap size."""
+    """Gradient maxima of both modes at one gap size.
+
+    location is where the mode-2 maximum sits on the sphere surfaces:
+    a gap pole (theta = pi), of the smaller sphere when the radii differ.
+    """
 
     epsilon: float
     max_grad_u1: float
@@ -166,37 +169,6 @@ def _exponents(frame: BisphericalFrame, xi: np.ndarray):
         (2.0 * frame.xi1 + xi, 2.0 * s - xi, -1.0),
         (2.0 * frame.xi2 - xi, 2.0 * s + xi, 1.0),
     )
-
-
-def _axis_series(
-    frame: BisphericalFrame, n_max: int, xi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Series sums (S, dS/dxi) on the gap axis theta = pi, P_n(-1) = (-1)^n.
-
-    No Legendre recurrence is needed, so the sum vectorizes over the
-    degree as well as over the evaluation points. Row j - 1 of each
-    output belongs to V_j.
-    """
-    s = frame.xi1 + frame.xi2
-    bases = _exponents(frame, xi)
-    npts = xi.shape[0]
-    out_s = np.zeros((2, npts))
-    out_sx = np.zeros((2, npts))
-    chunk = max(1024, (1 << 21) // max(npts, 1))
-    for j, (p, q, sgn) in enumerate(bases):
-        for n0 in range(0, n_max + 1, chunk):
-            n = np.arange(n0, min(n0 + chunk, n_max + 1), dtype=float)
-            m = n + 0.5
-            sign = np.where(n.astype(int) % 2 == 0, 1.0, -1.0)
-            denom = -np.expm1(-(2.0 * n + 1.0) * s)
-            ea = np.exp(-np.outer(m, p))
-            eb = np.exp(-np.outer(m, q))
-            t = (ea - eb) / denom[:, None]
-            dt = (sgn * m)[:, None] * (ea + eb) / denom[:, None]
-            out_s[j] += sign @ t
-            out_sx[j] += sign @ dt
-            del ea, eb, t, dt  # free these blocks before the next are built
-    return out_s, out_sx
 
 
 def _strip_series(
@@ -335,11 +307,11 @@ def potential_field(ps: PotentialSeries, xi, theta, phi=None) -> PotentialField:
     The one evaluator of the potential series; xi, theta and phi are
     equal-length arrays of points of the closed exterior strip, where a
     boundary value is the one-sided exterior limit. Interior points
-    raise ValueError. The points pick the kernel: the gap-axis sum when
-    every theta = pi, the Legendre strip recurrence otherwise. When
-    every point lies on the same sphere, V_j is constant along it and
-    the gradient is purely normal: only d/dxi is summed and the theta
-    derivative is exactly zero.
+    raise ValueError. Every point, the gap axis theta = pi included,
+    goes through the one Legendre strip recurrence. When every point
+    lies on the same sphere, V_j is constant along it and the gradient
+    is purely normal: only d/dxi is summed and the theta derivative is
+    exactly zero.
     """
     frame = ps.frame
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -347,14 +319,10 @@ def potential_field(ps: PotentialSeries, xi, theta, phi=None) -> PotentialField:
     _check_strip(frame, xi)
     want_grad = phi is not None
     on_surface = bool(np.all(xi == -frame.xi1) or np.all(xi == frame.xi2))
-    if np.all(np.abs(theta - math.pi) < 1e-12):
-        s_val, s_xi = _axis_series(frame, ps.n_max, xi)
-        s_th = np.zeros_like(s_val)
-    else:
-        s_val, s_xi, s_th = _strip_series(
-            frame, ps.n_max, xi, theta,
-            want_dxi=want_grad, want_dth=want_grad and not on_surface,
-        )
+    s_val, s_xi, s_th = _strip_series(
+        frame, ps.n_max, xi, theta,
+        want_dxi=want_grad, want_dth=want_grad and not on_surface,
+    )
     # V_j = sqrt(2 d) S_j with d = cosh(xi) - cos(theta)
     sqd = np.sqrt(_metric_d(xi, theta))
     v = _SQRT2 * sqd * s_val
@@ -433,64 +401,6 @@ def _mode_ratio(n: int, sp: SpectralPair) -> float:
     raise ValueError(f"mode index must be 1 or 2, got {n}")
 
 
-def max_gap_gradient(
-    n: int, sp: SpectralPair, ps: PotentialSeries, samples: int = 400
-) -> GradientStudyRow:
-    """Maximise |grad u| over the gap segment (theta = pi, -xi1 <= xi <= xi2).
-
-    Dense sampling followed by golden-section refinement around the best
-    sample. Both modes are maximised from one axis scan since they share
-    the series sums; the reported location is the maximiser of mode n.
-    """
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples, got {samples}")
-    frame = ps.frame
-
-    def axis_field(xi: np.ndarray) -> PotentialField:
-        return potential_field(ps, xi, np.full_like(xi, math.pi), np.zeros_like(xi))
-
-    xis = np.linspace(-frame.xi1, frame.xi2, samples)
-    scan = axis_field(xis)
-    results = {}
-    for mode, d_n in ((1, sp.d1), (2, sp.d2)):
-        g = scan.mode_grad_norm(d_n)
-        i = int(np.argmax(g))
-        lo = xis[max(i - 1, 0)]
-        hi = xis[min(i + 1, samples - 1)]
-        best_x, best_g = _golden_max(
-            lambda t: float(axis_field(np.array([t])).mode_grad_norm(d_n)[0]), lo, hi
-        )
-        if g[i] > best_g:
-            best_x, best_g = float(xis[i]), float(g[i])
-        results[mode] = (best_x, best_g)
-
-    return GradientStudyRow(
-        epsilon=frame.epsilon,
-        max_grad_u1=results[1][1],
-        max_grad_u2=results[2][1],
-        location=BisphericalPoint(xi=results[n][0], theta=math.pi, phi=0.0),
-    )
-
-
-def _golden_max(f, lo: float, hi: float, iters: int = 60) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-        if b - a < 1e-14 * max(1.0, abs(a)):
-            break
-    return (c, fc) if fc > fd else (d, fd)
-
-
 def h_decomposition(
     ct: RescaledCapacitance, sp: SpectralPair, st: SigmaTerms, n: int
 ) -> ModeDecomposition:
@@ -534,28 +444,33 @@ def h_decomposition(
 
 def _surface_grad_max(
     ps: PotentialSeries, ratios: list[float], n_theta: int = 400
-) -> list[float]:
-    """Max |grad u| over both sphere surfaces, one value per mode ratio.
+) -> list[tuple[float, BisphericalPoint]]:
+    """Max |grad u| over both sphere surfaces and where it sits, per mode ratio.
 
     |grad u|^2 is subharmonic in the exterior (sum of squares of
     harmonic functions), so the supremum over the whole exterior is
     attained on the spheres; sampling the surfaces therefore bounds the
     global maximum, not just a slice. Each mode is constant on each
     sphere, making the exterior-side gradient purely normal there, so
-    only the xi-derivative of the series enters. The theta grid is
-    log-clustered toward the gap, where the blow-up concentrates.
+    only the xi-derivative of the series enters. Each sphere gets
+    n_theta angles, log-clustered toward the gap, where the blow-up
+    concentrates, and ending on the gap pole theta = pi. A tie between
+    the spheres goes to sphere 1.
     """
     frame = ps.frame
     s = frame.xi1 + frame.xi2
     u_min = max(s * 1e-2, 1e-9)
     u = np.geomspace(u_min, math.pi, n_theta - 1)
     theta = np.append(math.pi - u, math.pi)
-    maxima = [0.0] * len(ratios)
+    best = [(-math.inf, None)] * len(ratios)
     for xi0 in (-frame.xi1, frame.xi2):
         f = potential_field(ps, np.full_like(theta, xi0), theta, np.zeros_like(theta))
         for k, d_n in enumerate(ratios):
-            maxima[k] = max(maxima[k], float(np.max(f.mode_grad_norm(d_n))))
-    return maxima
+            g = f.mode_grad_norm(d_n)
+            i = int(np.argmax(g))
+            if g[i] > best[k][0]:
+                best[k] = (float(g[i]), BisphericalPoint(xi0, float(theta[i]), 0.0))
+    return best
 
 
 def _blowup_cell(r1: float, r2: float, eps: float, samples: int, tol: float):
@@ -567,13 +482,9 @@ def _blowup_cell(r1: float, r2: float, eps: float, samples: int, tol: float):
     frame = frame_from_pair(pair)
     sp = eigen(rescale(capacitance_exact(frame, tol=1e-12), pair))
     ps = potential_series(frame, tol=tol)
-    axis = max_gap_gradient(2, sp, ps, samples=samples)
-    surf1, surf2 = _surface_grad_max(ps, [sp.d1, sp.d2])
+    (g1, _), (g2, where) = _surface_grad_max(ps, [sp.d1, sp.d2], samples)
     return GradientStudyRow(
-        epsilon=axis.epsilon,
-        max_grad_u1=max(axis.max_grad_u1, surf1),
-        max_grad_u2=max(axis.max_grad_u2, surf2),
-        location=axis.location,
+        epsilon=frame.epsilon, max_grad_u1=g1, max_grad_u2=g2, location=where
     )
 
 
@@ -590,12 +501,13 @@ def blowup_study(
 
     pair_family is a (r1, r2) tuple; each grid point builds the pair at
     that gap. The grid must span at least three decades so the log-log
-    fit means something. Per gap, each mode's maximum combines the gap
-    axis scan with a sweep over both sphere surfaces; |grad u|^2 is
-    subharmonic outside the resonators, so the surface sweep bounds the
-    supremum over the whole exterior. That matters for the mode whose
-    boundary values coincide: its gap field stays bounded and the true
-    maximum sits on the outer parts of the spheres, not in the gap.
+    fit means something. Per gap, each mode's maximum is read off a
+    sweep of samples (>= 100) angles over each sphere surface;
+    |grad u|^2 is subharmonic outside the resonators, so its supremum
+    over the whole exterior, gap included, sits on the spheres. That
+    matters for the mode whose boundary values coincide: its gap field
+    stays bounded and the true maximum sits on the outer parts of the
+    spheres, not in the gap. The anti-phase mode 2 peaks at a gap pole.
     Returns the per-gap rows, the fitted slopes of log max|grad u_n|
     against log eps, and the compensated products max * eps and
     max * eps * |log eps| for both modes.
@@ -612,6 +524,8 @@ def blowup_study(
     span = math.log10(eps_values[-1]) - math.log10(eps_values[0])
     if span < 3.0 - 1e-9:
         raise ValueError("gap grid must span at least three decades")
+    if samples < 100:
+        raise ValueError(f"need at least 100 samples, got {samples}")
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -256,6 +256,13 @@ def test_blowup_small_grid(tmp_path):
     assert g2[0] > g2[-1]
 
 
+def test_blowup_too_few_samples_is_config_error(capsys):
+    rc = run(["blowup", "--r1", "1", "--r2", "2", "--eps-grid", "1e-4:1e-1:4",
+              "--samples", "99"])
+    assert rc == 2
+    assert "samples" in capsys.readouterr().err
+
+
 def test_scattering_response(tmp_path):
     out = tmp_path / "scat.csv"
     rc = run(

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,7 +20,6 @@ from bisphere import (
     flux_quadrature,
     frame_from_pair,
     h_decomposition,
-    max_gap_gradient,
     potential_series,
     rescale,
     sigma_terms,
@@ -223,6 +223,60 @@ def test_potential_gradient_rejects_interior_points(frame_12, series_12):
         )
 
 
+def _kelvin_axis_grad_v(r1, r2, eps, j, x3s):
+    """d V_j / d x3 at gap-axis points, from Kelvin images at 40 digits.
+
+    V_j is 1 on sphere j and 0 on the other. The seed r_j at the centre
+    of sphere j holds sphere j at 1; each image is reflected in the
+    other sphere, q' = -q r / |z - c| at z' = c + r^2 / (z - c), until a
+    charge falls below 1e-24 of the seed. Centres sit at -/+ sqrt(r^2 +
+    alpha^2), midway between the limit points as in the frame.
+    """
+    with mpmath.workdps(40):
+        r1, r2, eps = mpmath.mpf(r1), mpmath.mpf(r2), mpmath.mpf(eps)
+        d = r1 + r2 + eps
+        alpha2 = ((d * d - r1 * r1 - r2 * r2) ** 2 - 4 * r1 * r1 * r2 * r2) / (4 * d * d)
+        spheres = [(-mpmath.sqrt(r1**2 + alpha2), r1), (mpmath.sqrt(r2**2 + alpha2), r2)]
+        k = j - 1
+        c, q = spheres[k]
+        floor = q * mpmath.mpf(10) ** -24
+        images = []
+        while abs(q) > floor:
+            images.append((q, c))
+            k = 1 - k
+            c_k, r_k = spheres[k]
+            w = c - c_k
+            q, c = -q * r_k / abs(w), c_k + r_k * r_k / w
+        grads = []
+        for x3 in x3s:
+            # d/dx3 of q / |x3 - z| is -q (x3 - z) / |x3 - z|^3
+            g = mpmath.mpf(0)
+            for q, z in images:
+                w = x3 - z
+                g -= q / (w * abs(w))
+            grads.append(float(g))
+        return grads
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6])
+def test_gap_axis_gradient_meets_its_bound_against_kelvin_images(eps):
+    # single gap-axis points at a narrow gap: the gradient tail is
+    # certified below tol / alpha, so the whole error must be too
+    pair = ResonatorPair(1.0, 2.0, eps)
+    frame = frame_from_pair(pair)
+    tol = 1e-10
+    ps = potential_series(frame, tol=tol)
+    fracs = (0.0, 0.1, 0.37, 0.5, 0.81, 1.0)
+    xis = [(1.0 - f) * -frame.xi1 + f * frame.xi2 for f in fracs]
+    with mpmath.workdps(40):
+        x3s = [frame.alpha * mpmath.tanh(mpmath.mpf(xi) / 2) for xi in xis]
+    want = _kelvin_axis_grad_v(1.0, 2.0, eps, 1, x3s)
+    for f, xi, w in zip(fracs, xis, want):
+        got = eval_grad_potential(ps, 1, BisphericalPoint(xi, math.pi, 0.0))
+        err = frame.alpha * math.hypot(got[0], got[1], got[2] - w)
+        assert err <= tol, f"gap fraction {f}: alpha * error {err:.2e}"
+
+
 def test_gradient_has_no_azimuthal_component(frame_12, series_12, spectral_12):
     # the fields are axisymmetric; e_phi projection must vanish
     for x in ([0.7, 1.1, 0.4], [-1.2, 0.5, -0.9], [0.3, -2.0, 1.4]):
@@ -333,16 +387,16 @@ def test_max_gap_gradient_anti_phase_plateau():
     frame = frame_from_pair(pair)
     sp = eigen(rescale(capacitance_exact(frame, tol=1e-13), pair))
     ps = potential_series(frame, tol=1e-10)
-    row = max_gap_gradient(2, sp, ps, samples=200)
-    # the maximizer lies on the gap segment
-    assert -frame.xi1 - 1e-12 <= row.location.xi <= frame.xi2 + 1e-12
-    assert row.location.theta == pytest.approx(math.pi)
+    _, (g_max, where) = _surface_grad_max(ps, [sp.d1, sp.d2], 200)
+    # the maximizer is a gap pole, an end of the gap segment
+    assert where.theta == math.pi
+    assert where.xi in (-frame.xi1, frame.xi2)
     # center value within a tenth of a percent of the maximum
     g_center = np.linalg.norm(
         eval_grad_mode(2, sp, ps, BisphericalPoint(0.0, math.pi, 0.0))
     )
-    assert g_center >= 0.999 * row.max_grad_u2
-    assert row.max_grad_u2 >= g_center * (1.0 - 1e-12)
+    assert g_center >= 0.999 * g_max
+    assert g_max >= g_center * (1.0 - 1e-12)
 
 
 def test_max_gap_gradient_profile_is_even_for_equal_spheres(
@@ -358,9 +412,9 @@ def test_max_gap_gradient_profile_is_even_for_equal_spheres(
         assert gp == pytest.approx(gm, rel=1e-9)
 
 
-def test_max_gap_gradient_needs_enough_samples(spectral_12, series_12):
-    with pytest.raises(ValueError):
-        max_gap_gradient(2, spectral_12, series_12, samples=10)
+def test_max_gap_gradient_needs_enough_samples(water_air):
+    with pytest.raises(ValueError, match="samples"):
+        blowup_study((1.0, 2.0), water_air, [1e-4, 1e-3, 1e-2, 1e-1], samples=10)
 
 
 def test_surface_sweep_consistent_with_axis_endpoint(
@@ -373,7 +427,8 @@ def test_surface_sweep_consistent_with_axis_endpoint(
             2, spectral_sym, series_sym, BisphericalPoint(frame_sym.xi2, math.pi, 0.0)
         )
     )
-    maxima = _surface_grad_max(series_sym, [spectral_sym.d1, spectral_sym.d2])
+    sweep = _surface_grad_max(series_sym, [spectral_sym.d1, spectral_sym.d2])
+    maxima = [g for g, _ in sweep]
     assert maxima[1] >= g_end * (1.0 - 1e-9)
     assert maxima[1] == pytest.approx(g_end, rel=0.05)
     # the in-phase surface maximum is order one, nowhere near the 1/eps scale
