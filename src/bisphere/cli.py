@@ -436,7 +436,7 @@ def cmd_field(cfg: RunConfig) -> None:
     tol = cfg.tol if cfg.tol is not None else _TOL_DEFAULT
     ps = potential_series(frame, tol=tol)
     sp = eigen(rescale(capacitance_exact(frame, tol=tol), pair))
-    rows = []
+    xyzs, bis = [], []
     for text in cfg.points:
         xyz = np.array(_parse_vec3(text, "point"))
         region = classify(frame, xyz)
@@ -446,15 +446,17 @@ def cmd_field(cfg: RunConfig) -> None:
                 f"point {text} lies inside resonator {which}; "
                 "fields are only defined in the exterior"
             )
-        p = to_bispherical(frame, xyz)
-        f = potential_field(ps, [p.xi], [p.theta], [p.phi])
-        g1 = f.mode_grad(sp.d1)[:, 0]
-        g2 = f.mode_grad(sp.d2)[:, 0]
-        rows.append(
-            [xyz[0], xyz[1], xyz[2], f.v[0, 0], f.v[1, 0],
-             f.mode(sp.d1)[0], f.mode(sp.d2)[0],
-             g1[0], g1[1], g1[2], g2[0], g2[1], g2[2]]
-        )
+        xyzs.append(xyz)
+        bis.append(to_bispherical(frame, xyz))
+    f = potential_field(
+        ps, [p.xi for p in bis], [p.theta for p in bis], [p.phi for p in bis]
+    )
+    u1, u2 = f.mode(sp.d1), f.mode(sp.d2)
+    g1, g2 = f.mode_grad(sp.d1), f.mode_grad(sp.d2)
+    rows = [
+        [*xyz, f.v[0, i], f.v[1, i], u1[i], u2[i], *g1[:, i], *g2[:, i]]
+        for i, xyz in enumerate(xyzs)
+    ]
     columns = [
         "x1", "x2", "x3", "v1", "v2", "u1", "u2",
         "grad_u1_x", "grad_u1_y", "grad_u1_z",

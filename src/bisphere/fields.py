@@ -2,19 +2,28 @@
 
 The two unit-boundary-data potentials have the bispherical series
 
-    V_j = sqrt(2) sqrt(cosh xi - cos theta)
-          * sum_n (A_n^j e^{(n+1/2) xi} + B_n^j e^{-(n+1/2) xi}) P_n(cos theta)
+    V_j = sqrt(2 d) sum_n T_n^j P_n(cos theta),   d = cosh xi - cos theta,
 
-with A_n^1 = 1/(1 - E_n), B_n^1 = -e^{(2n+1) xi2}/(1 - E_n),
-A_n^2 = -e^{(2n+1) xi1}/(1 - E_n), B_n^2 = 1/(1 - E_n) and
-E_n = e^{(2n+1)(xi1 + xi2)}. The coefficients overflow on their own, so
-every term is evaluated in the combined, strictly-negative-exponent form
+    j = 1:  T_n = (e^{-(n+1/2)(2 xi1 + xi)} - e^{-(n+1/2)(2 s - xi)}) / (1 - e^{-(2n+1) s})
+    j = 2:  T_n = (e^{-(n+1/2)(2 xi2 - xi)} - e^{-(n+1/2)(2 s + xi)}) / (1 - e^{-(2n+1) s})
 
-    j = 1:  (e^{-(n+1/2)(2 xi1 + xi)} - e^{-(n+1/2)(2 s - xi)}) / (1 - e^{-(2n+1) s})
-    j = 2:  (e^{-(n+1/2)(2 xi2 - xi)} - e^{-(n+1/2)(2 s + xi)}) / (1 - e^{-(2n+1) s})
+with s = xi1 + xi2, on the closed exterior strip -xi1 <= xi <= xi2. It
+needs O(1/s) degrees, which grows without bound as the gap closes, so it
+is summed in its image form instead: expanding 1/(1 - e^{-(2n+1) s}) as a
+geometric series in k and summing over n with the Legendre generating
+function (DLMF 18.12.11) gives
 
-which stays bounded on the whole closed exterior strip -xi1 <= xi <= xi2.
-Mode n is u_n = d_n V_1 + V_2 with the eigenvector ratio d_n.
+    V_j = sqrt(2 d) sum_{k>=0} [G(p + 2 k s) - G(q + 2 k s)],
+    G(w) = (2 (cosh w - cos theta))^{-1/2},
+
+with (p, q) = (2 xi1 + xi, 2 s - xi) for V_1 and (2 xi2 - xi, 2 s + xi)
+for V_2. The first _HEAD terms are summed directly and the rest by
+Euler-Maclaurin (DLMF 2.10.1): the integral over [p, q] shifted by
+2 _HEAD s, by Gauss-Legendre, and _EM_ORDER Bernoulli corrections from
+scaled Taylor coefficients of G. The cost is the same at every gap.
+Gradients are exact derivatives of the same sums: dG/dw = -sinh(w) G^3
+and dG/dtheta = -sin(theta) G^3. Mode n is u_n = d_n V_1 + V_2 with the
+eigenvector ratio d_n.
 """
 
 from __future__ import annotations
@@ -24,21 +33,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacitance import DEFAULT_TERM_CAP, RescaledCapacitance, SigmaTerms
-from .errors import TruncationCapError
+from .capacitance import RescaledCapacitance, SigmaTerms
 from .geometry import BisphericalFrame, BisphericalPoint
 from .spectra import SpectralPair
 
 _SQRT2 = math.sqrt(2.0)
+_HEAD = 32  # image terms summed directly
+_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)  # B_2 ... B_8
+_EM_ORDER = len(_BERNOULLI)
+_B_NEXT = 5.0 / 66.0  # B_10, of the first omitted correction
+# 4-point Gauss-Legendre rule on [-1, 1]: (node t, weight) for nodes -t and t
+_GAUSS = ((0.8611363115940526, 0.34785484513745357), (0.33998104358485626, 0.6521451548625464))
 
 
 @dataclass(frozen=True)
 class PotentialSeries:
-    """Truncation of the potential series for one geometry.
+    """The image-sum kernel for one geometry.
 
-    n_max certifies the value tail below tol uniformly on the closed
-    exterior strip, and the gradient tail below tol relative to the
-    natural 1/alpha gradient scale.
+    n_max is the number of image terms summed directly (the head K);
+    tail_bound estimates the Euler-Maclaurin remainder of V_j, and of
+    alpha * grad V_j, uniformly on the closed exterior strip. It is at
+    most tol.
     """
 
     frame: BisphericalFrame
@@ -112,174 +127,114 @@ class BlowupStudy:
     comp_u2_eps_log: list[float]
 
 
-def _tail_bounds(frame: BisphericalFrame, n_max: int) -> tuple[float, float]:
-    """Certified value and (alpha-scaled) gradient tails beyond n_max.
+def potential_series(frame: BisphericalFrame, tol: float = 1e-10) -> PotentialSeries:
+    """The image-sum kernel for frame; tol must not be below its remainder estimate.
 
-    Uses |T_n| <= e^{-m a} / (1 - e^{-s}) with m = n + 1/2 and
-    a = min(xi1, xi2), |P_n| <= 1, |dP_n/dtheta| <= n(n+1)/2 <= 2 m^2,
-    and closed forms for sum m^k e^{-m a}.
+    The estimate is the first omitted Bernoulli correction,
+    2 |B_10| / 10 * (2 s / w)^9 at the nearest tail start
+    w = min(xi1, xi2) + 2 K s. G's poles sit on the imaginary axis, so its
+    scaled Taylor coefficients (2 s)^m G^(m)(w) / m! fall like (2 s / w)^m,
+    and sqrt(2 d) G <= 1 on the strip; 2 s / w < 1/K at every gap.
     """
-    a = min(frame.xi1, frame.xi2)
-    s = frame.xi1 + frame.xi2
-    xi_big = max(frame.xi1, frame.xi2)
-    dmax = math.cosh(xi_big) + 1.0
-    abar = -math.expm1(-a)
-    m0 = n_max + 1.5
-    e0 = math.exp(-m0 * a)
-    sum_1 = e0 / abar
-    sum_m = e0 * (m0 / abar + 1.0 / abar**2)
-    sum_m2 = e0 * (m0 * m0 / abar + 2.0 * m0 / abar**2 + 2.0 / abar**3)
-    denom = -math.expm1(-s)
-    val = _SQRT2 * math.sqrt(dmax) / denom * sum_1
-    # alpha * |grad tail|: sqrt-d prefactors and unit frame vectors folded
-    # into one conservative constant
-    c0 = 3.0 * _SQRT2 * math.sqrt(dmax) * math.cosh(xi_big)
-    grad = c0 / denom * (sum_1 + 2.0 * sum_m + 2.0 * sum_m2)
-    return val, grad
-
-
-def potential_series(
-    frame: BisphericalFrame, tol: float = 1e-10, cap: int = DEFAULT_TERM_CAP
-) -> PotentialSeries:
-    """Choose the truncation degree and tabulate the log-scale weights."""
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    a = min(frame.xi1, frame.xi2)
-    n_max = 8
-    for _ in range(200):
-        val, grad = _tail_bounds(frame, n_max)
-        worst = max(val, grad)
-        if worst <= tol:
-            break
-        n_max += int(math.ceil(math.log(worst / tol) / a)) + 1
-        if n_max > cap:
-            raise TruncationCapError(
-                f"potential series needs ~{n_max} terms for tol={tol:g}, cap is {cap}"
-            )
-    else:
-        raise TruncationCapError("potential series truncation search did not settle")
-
-    return PotentialSeries(frame=frame, n_max=n_max, tol=tol, tail_bound=val)
-
-
-def _exponents(frame: BisphericalFrame, xi: np.ndarray):
-    """Combined-term exponent bases (p, q) and the d/dxi sign of V_1 and V_2."""
     s = frame.xi1 + frame.xi2
-    return (
-        (2.0 * frame.xi1 + xi, 2.0 * s - xi, -1.0),
-        (2.0 * frame.xi2 - xi, 2.0 * s + xi, 1.0),
-    )
+    ratio = 2.0 * s / (min(frame.xi1, frame.xi2) + 2.0 * _HEAD * s)
+    order = 2 * _EM_ORDER + 1
+    bound = 2.0 * _B_NEXT / (order + 1) * ratio**order
+    if bound > tol:
+        raise ValueError(f"tolerance {tol:g} is below the field kernel's remainder {bound:.1e}")
+    return PotentialSeries(frame=frame, n_max=_HEAD, tol=tol, tail_bound=bound)
 
 
-def _strip_series(
-    frame: BisphericalFrame,
-    n_max: int,
-    xi: np.ndarray,
-    theta: np.ndarray,
-    want_dxi: bool,
-    want_dth: bool,
-    chunk: int = 512,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """General-point series sums (S, dS/dxi, dS/dtheta); row j - 1 is V_j.
+def _parts(w: np.ndarray, sh2: np.ndarray):
+    """e = e^{-w}, e - 1 and D, with 2 (cosh w - cos theta) = D / e.
 
-    P_n(cos theta) and dP_n/dtheta advance by simultaneous three-term
-    recurrences (the theta derivative has no 1/sin(theta) factor, so the
-    axis is not a special case), once for both potentials; the
-    exponential factors are applied in vectorized blocks. Points on a
-    common xi (a sphere surface) share their exponential factors, which
-    are formed once per distinct xi. The derivative recurrences only run
-    when asked for.
+    D = (1 - e)^2 + 4 e sin^2(theta / 2) neither cancels for small w and
+    theta nor overflows for large w.
+    """
+    e = np.exp(-w)
+    em1 = np.expm1(-w)
+    return e, em1, em1 * em1 + 4.0 * e * sh2
 
-    Each block runs in row slices small enough to stay in cache. A
-    slice's row sum is carried into the first row of the next, which
-    keeps numpy's sequential row summation over the whole block; a
-    single point sums pairwise, so it takes the block in one slice.
 
-    Chunk partial sums are combined with Kahan compensation: near the
-    pole theta=0 the unscaled sum reaches ~1/(2*xi1) while the target
-    accuracy is absolute, so naive accumulation over the ~n_max/chunk
-    partials would cost ~n_max/chunk * eps_mach * sum and visibly
-    exceeds 1e-10 once gaps shrink past 1e-7.
+def _kernel(w: np.ndarray, sh2: np.ndarray, st: np.ndarray):
+    """G, dG/dw = -sinh(w) G^3 and -dG/dtheta = sin(theta) G^3 at w.
+
+    Each derivative scales G by one ratio, so G^3, which overflows once
+    w and theta are both below ~1e-103, is never formed.
+    """
+    e, em1, dd = _parts(w, sh2)
+    g = np.sqrt(e / dd)
+    return g, (0.5 * em1 * (1.0 + e) / dd) * g, (st * e / dd) * g
+
+
+def _taylor(w: np.ndarray, sh2: np.ndarray, st: np.ndarray, h: float):
+    """Scaled Taylor coefficients h^m f^(m)(w) / m! of f = G and f = sin(theta) G^3.
+
+    Orders 0 ... 2 _EM_ORDER for G and 0 ... 2 _EM_ORDER - 1 for the other.
+    F(w + h t) / F(w) = 1 + sum_m phi_m t^m for F = 2 (cosh w - cos theta),
+    with phi_m = h^m / m! times 2 cosh(w) / F (m even) or 2 sinh(w) / F
+    (m odd); its powers -1/2 and -3/2 follow J. C. P. Miller's recurrence.
+    Only ratios enter, so nothing overflows however small h is.
+    """
+    e, em1, dd = _parts(w, sh2)
+    even, odd = (1.0 + e * e) / dd, -em1 * (1.0 + e) / dd
+    top = 2 * _EM_ORDER
+    phi = [None] + [h**m / math.factorial(m) * (odd if m % 2 else even) for m in range(1, top + 1)]
+    g = np.sqrt(e / dd)
+    out = []
+    for power, base, orders in ((-0.5, g, top), (-1.5, (st * e / dd) * g, top - 1)):
+        y = [np.ones_like(w)]
+        for m in range(1, orders + 1):
+            y.append(sum(((power + 1.0) * k - m) * phi[k] * y[m - k] for k in range(1, m + 1)) / m)
+        out.append([base * c for c in y])
+    return out
+
+
+def _em_tail(c: list) -> np.ndarray:
+    """f(K) / 2 - sum_j B_2j / (2j)! f^(2j-1)(K) from scaled Taylor coefficients."""
+    out = 0.5 * c[0]
+    for j, b in enumerate(_BERNOULLI, start=1):
+        out = out - (b / (2 * j)) * c[2 * j - 1]
+    return out
+
+
+def _image_sums(frame: BisphericalFrame, xi: np.ndarray, theta: np.ndarray):
+    """(S, dS/dxi, dS/dtheta), each of shape (2, N), with V_j = sqrt(2 d) S[j - 1].
+
+    Every operation acts elementwise on the points, in an order fixed by
+    the loops, so a point's sums do not depend on the batch it comes in.
     """
     s = frame.xi1 + frame.xi2
-    x = np.cos(theta)
-    msin = -np.sin(theta)  # d(cos theta)/dtheta
-    npts = xi.shape[0]
-    xi_u, spread = np.unique(xi, return_inverse=True)
-    if xi_u.size == npts:
-        xi_u, spread = xi, None
-    bases = _exponents(frame, xi_u)
-    out = np.zeros((3, 2, npts))  # S, dS/dxi, dS/dtheta
-    comp = np.zeros((3, 2, npts))
-
-    def kadd(k: int, j: int, val: np.ndarray) -> None:
-        acc, c = out[k, j], comp[k, j]
-        y = val - c
-        tot = acc + y
-        c[:] = (tot - acc) - y
-        acc[:] = tot
-
-    p_prev = np.zeros(npts)
-    p_cur = np.ones(npts)
-    d_prev = np.zeros(npts)
-    d_cur = np.zeros(npts)
-    rows = min(chunk, n_max + 1)
-    p_blk = np.empty((rows, npts))
-    d_blk = np.empty((rows, npts)) if want_dth else None
-    sub = rows if npts == 1 else max(1, 16384 // max(npts, 1))
-    for n0 in range(0, n_max + 1, chunk):
-        nb = min(n0 + chunk, n_max + 1) - n0
-        for k in range(nb):
-            n = n0 + k
-            p_blk[k] = p_cur
-            if want_dth:
-                d_blk[k] = d_cur
-                if n == 0:
-                    d_prev, d_cur = d_cur, msin.copy()
-                else:
-                    d_prev, d_cur = (
-                        d_cur,
-                        ((2 * n + 1) * (msin * p_cur + x * d_cur) - n * d_prev)
-                        / (n + 1),
-                    )
-            if n == 0:
-                p_prev, p_cur = p_cur, x.copy()
-            else:
-                p_prev, p_cur = (
-                    p_cur,
-                    ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1),
-                )
-        n = np.arange(n0, n0 + nb, dtype=float)
-        m = n + 0.5
-        denom = -np.expm1(-(2.0 * n + 1.0) * s)[:, None]
-        for j, (p, q, sgn) in enumerate(bases):
-            sums = [None, None, None]
-            for r0 in range(0, nb, sub):
-                r = slice(r0, min(r0 + sub, nb))
-                ea = np.exp(-m[r, None] * p[None, :])
-                eb = np.exp(-m[r, None] * q[None, :])
-                t = (ea - eb) / denom[r]
-                if want_dxi:
-                    dt = (sgn * m[r])[:, None] * (ea + eb) / denom[r]
-                    if spread is not None:
-                        dt = dt[:, spread]
-                    sums[1] = _row_sum(sums[1], dt * p_blk[r])
-                if spread is not None:
-                    t = t[:, spread]
-                sums[0] = _row_sum(sums[0], t * p_blk[r])
-                if want_dth:
-                    sums[2] = _row_sum(sums[2], t * d_blk[r])
-            for k, val in enumerate(sums):
-                if val is not None:
-                    kadd(k, j, val)
-    return out[0], out[1], out[2]
-
-
-def _row_sum(acc: np.ndarray | None, w: np.ndarray) -> np.ndarray:
-    """Continue a sequential row sum with the rows of w (w is consumed)."""
-    if acc is not None:
-        w[0] += acc
-    return w.sum(axis=0)
+    h = 2.0 * s
+    sh2, st = np.square(np.sin(0.5 * theta)), np.sin(theta)
+    # image arguments, rows p_1, q_1, p_2, q_2; S_j sums G(p_j) - G(q_j)
+    w = np.stack([2.0 * frame.xi1 + xi, 2.0 * s - xi, 2.0 * frame.xi2 - xi, 2.0 * s + xi])
+    val, dxi, mdth = np.zeros((3, 2, xi.size))  # mdth = -dS/dtheta
+    for k in range(_HEAD):
+        g, dg, g3 = _kernel(w + k * h, sh2, st)
+        val += g[0::2] - g[1::2]
+        dxi += dg[0::2] + dg[1::2]
+        mdth += g3[0::2] - g3[1::2]
+    # Euler-Maclaurin tail from k = _HEAD: integrals over [p, q] + K h
+    w = w + _HEAD * h
+    mid, half = 0.5 * (w[0::2] + w[1::2]), 0.5 * (w[1::2] - w[0::2])
+    int_g = int_g3 = 0.0
+    for t, weight in _GAUSS:
+        for node in (mid - t * half, mid + t * half):
+            g, _, g3 = _kernel(node, sh2, st)
+            int_g, int_g3 = int_g + weight * g, int_g3 + weight * g3
+    c, c3 = _taylor(w, sh2, st, h)
+    # the tail of dG/dw: integral -G / h, Taylor coefficients (m + 1) c_{m+1} / h
+    tail_d = _em_tail([(m + 1) * c[m + 1] / h for m in range(len(c) - 1)]) - c[0] / h
+    tail, tail_3 = _em_tail(c), _em_tail(c3)
+    val += half / h * int_g + (tail[0::2] - tail[1::2])
+    dxi += tail_d[0::2] + tail_d[1::2]
+    mdth += half / h * int_g3 + (tail_3[0::2] - tail_3[1::2])
+    # dp/dxi = +1 for V_1 and -1 for V_2, and dq/dxi = -dp/dxi
+    dxi[1] = -dxi[1]
+    return val, dxi, -mdth
 
 
 def _check_strip(frame: BisphericalFrame, xi: np.ndarray) -> None:
@@ -304,41 +259,29 @@ def _metric_d(xi, theta):
 def potential_field(ps: PotentialSeries, xi, theta, phi=None) -> PotentialField:
     """V_1, V_2 and, when the azimuths phi are given, their Cartesian gradients.
 
-    The one evaluator of the potential series; xi, theta and phi are
+    The one evaluator of the potentials; xi, theta and phi are
     equal-length arrays of points of the closed exterior strip, where a
     boundary value is the one-sided exterior limit. Interior points
-    raise ValueError. Every point, the gap axis theta = pi included,
-    goes through the one Legendre strip recurrence. When every point
-    lies on the same sphere, V_j is constant along it and the gradient
-    is purely normal: only d/dxi is summed and the theta derivative is
-    exactly zero.
+    raise ValueError. Every point goes through the same image sums with
+    their Euler-Maclaurin tail, at a cost independent of the gap, and
+    its result does not depend on the other points of the batch.
     """
     frame = ps.frame
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     _check_strip(frame, xi)
-    want_grad = phi is not None
-    on_surface = bool(np.all(xi == -frame.xi1) or np.all(xi == frame.xi2))
-    s_val, s_xi, s_th = _strip_series(
-        frame, ps.n_max, xi, theta,
-        want_dxi=want_grad, want_dth=want_grad and not on_surface,
-    )
+    s_val, s_xi, s_th = _image_sums(frame, xi, theta)
     # V_j = sqrt(2 d) S_j with d = cosh(xi) - cos(theta)
     sqd = np.sqrt(_metric_d(xi, theta))
     v = _SQRT2 * sqd * s_val
-    if not want_grad:
+    if phi is None:
         return PotentialField(v=v, grad=None)
-    ch, sh = np.cosh(xi), np.sinh(xi)
-    ct, st = np.cos(theta), np.sin(theta)
+    sh, st = np.sinh(xi), np.sin(theta)
     f_xi = _SQRT2 * (0.5 * sh / sqd * s_val + sqd * s_xi)
-    if on_surface:
-        # purely normal gradient; 1 - cosh(xi) cos(theta) in half-angle
-        # form, which keeps its digits at the far pole of a thin-gap sphere
-        f_th = 0.0
-        w = 2.0 * (ch * np.square(np.sin(0.5 * theta)) - np.square(np.sinh(0.5 * xi)))
-    else:
-        f_th = _SQRT2 * (0.5 * st / sqd * s_val + sqd * s_th)
-        w = 1.0 - ch * ct
+    f_th = _SQRT2 * (0.5 * st / sqd * s_val + sqd * s_th)
+    # 1 - cosh(xi) cos(theta) in half-angle form, which keeps its digits
+    # where xi and theta are both small (far points near the x3 axis)
+    w = 2.0 * (np.cosh(xi) * np.square(np.sin(0.5 * theta)) - np.square(np.sinh(0.5 * xi)))
     radial = f_xi * (-st * sh) - f_th * w
     axial = f_xi * w + f_th * (-sh * st)
     phi = np.atleast_1d(np.asarray(phi, dtype=float))

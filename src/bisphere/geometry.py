@@ -138,7 +138,9 @@ def to_bispherical(frame: BisphericalFrame, p) -> BisphericalPoint:
 
     Uses the distances R1, R2 to the limit points (0, 0, -alpha) and
     (0, 0, +alpha):  xi = log(R1/R2)  and
-    cos(theta) = (rho^2 + x3^2 - alpha^2) / (R1 R2).
+    (cos(theta), sin(theta)) = (rho^2 + x3^2 - alpha^2, 2 alpha rho) / (R1 R2),
+    taken with atan2, which keeps theta's digits near the axis where an
+    acos of the cosine would lose half of them.
     The limit points themselves have no preimage and are rejected.
     """
     p = _as_cartesian(p)
@@ -149,8 +151,7 @@ def to_bispherical(frame: BisphericalFrame, p) -> BisphericalPoint:
     if r1sq == 0.0 or r2sq == 0.0:
         raise ValueError("limit points (0, 0, +-alpha) have no bispherical image")
     xi = 0.5 * (math.log(r1sq) - math.log(r2sq))
-    c = (rho2 + p.x3 * p.x3 - al * al) / math.sqrt(r1sq * r2sq)
-    theta = math.acos(min(1.0, max(-1.0, c)))
+    theta = math.atan2(2.0 * al * math.sqrt(rho2), rho2 + p.x3 * p.x3 - al * al)
     phi = math.atan2(p.x2, p.x1) % _TWO_PI
     return BisphericalPoint(xi=xi, theta=theta, phi=phi)
 

@@ -1,8 +1,10 @@
-"""Independent brute-force verifiers: image charges, flux quadrature, FD.
+"""Independent brute-force verifiers: image charges, Legendre series, flux, FD.
 
 The image-charge iteration is classical electrostatics on the axis and
-shares no math with the series modules. The flux quadrature integrates
-the normal derivative of the public field evaluator over a sphere, which
+shares no math with the series modules. The Legendre series sums the
+potentials degree by degree, the form the image-sum kernel of `fields`
+resums, and shares no code with it. The flux quadrature integrates the
+normal derivative of the public field evaluator over a sphere, which
 checks the capacitance series through a completely different identity;
 the finite difference helpers certify analytic gradients and
 harmonicity.
@@ -19,7 +21,7 @@ import numpy as np
 from .capacitance import CapacitanceMatrix
 from .errors import QuadratureConvergenceError
 from .fields import PotentialSeries, potential_field
-from .geometry import ResonatorPair
+from .geometry import BisphericalFrame, ResonatorPair
 
 _FOUR_PI = 4.0 * math.pi
 
@@ -114,6 +116,41 @@ def image_charge_capacitance(
         n_terms=n_reflections,
         tail_bound=worst_tail,
     )
+
+
+def legendre_strip_sums(frame: BisphericalFrame, n_max: int, xi, theta, j: int):
+    """(S, dS/dxi, dS/dtheta) of V_j = sqrt(2 d) S by the Legendre series to degree n_max.
+
+    S sums T_n P_n(cos theta) with T_n = (e^{-(n+1/2) p} - e^{-(n+1/2) q})
+    / (1 - e^{-(2n+1) s}), s = xi1 + xi2, (p, q) = (2 xi1 + xi, 2 s - xi)
+    for j = 1 and (2 xi2 - xi, 2 s + xi) for j = 2, d = cosh xi - cos theta.
+    P_n and dP_n/dtheta advance by their three-term recurrences; the terms
+    of each point add pairwise. The truncation error is the caller's: the
+    terms fall like e^{-(n+1/2) min(xi1, xi2)}.
+    """
+    xi = np.asarray(xi, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    s = frame.xi1 + frame.xi2
+    if j == 1:
+        p, q, sgn = 2.0 * frame.xi1 + xi, 2.0 * s - xi, -1.0
+    else:
+        p, q, sgn = 2.0 * frame.xi2 - xi, 2.0 * s + xi, 1.0
+    x, msin = np.cos(theta), -np.sin(theta)
+    leg = np.zeros((n_max + 2, xi.size))
+    dleg = np.zeros((n_max + 2, xi.size))
+    leg[0], leg[1], dleg[1] = 1.0, x, msin
+    for n in range(1, n_max + 1):
+        leg[n + 1] = ((2 * n + 1) * x * leg[n] - n * leg[n - 1]) / (n + 1)
+        dleg[n + 1] = ((2 * n + 1) * (msin * leg[n] + x * dleg[n]) - n * dleg[n - 1]) / (n + 1)
+    m = np.arange(n_max + 1) + 0.5
+    denom = -np.expm1(-2.0 * m * s)
+    # point-major layout, so each sum runs along a contiguous row (pairwise)
+    ea = np.exp(-np.outer(p, m))
+    eb = np.exp(-np.outer(q, m))
+    t = (ea - eb) / denom
+    dt = sgn * m * (ea + eb) / denom
+    leg, dleg = leg[:-1].T, dleg[:-1].T
+    return (t * leg).sum(axis=1), (dt * leg).sum(axis=1), (t * dleg).sum(axis=1)
 
 
 def flux_quadrature(

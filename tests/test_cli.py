@@ -174,6 +174,18 @@ def test_field_at_points(tmp_path):
     assert float(gap_row["v1"]) + float(gap_row["v2"]) == pytest.approx(1.0, abs=0.1)
 
 
+def test_field_at_a_tiny_gap(tmp_path):
+    out = tmp_path / "field.csv"
+    rc = run(
+        ["field", "--r1", "1", "--r2", "2", "--eps", "1e-12", "--point", "0,0,0",
+         "--out", str(out)]
+    )
+    assert rc == 0
+    rows = _data_rows(_read(out))
+    assert len(rows) == 1
+    assert all(math.isfinite(float(v)) for v in rows[0])
+
+
 @pytest.mark.parametrize("eps", [0.05, 1e-4])
 def test_field_rows_equal_scalar_api(tmp_path, eps):
     pair = ResonatorPair(1.0, 2.0, eps)

@@ -26,7 +26,8 @@ from bisphere import (
     to_bispherical,
     to_cartesian,
 )
-from bisphere.fields import _strip_series, _surface_grad_max
+from bisphere.fields import _image_sums, _surface_grad_max, potential_field
+from bisphere.oracle import legendre_strip_sums
 
 
 def _thetas(n=200):
@@ -39,49 +40,12 @@ def test_potential_series_metadata(series_12):
     assert series_12.tail_bound <= series_12.tol
 
 
-def _plain_strip_sums(frame, n_max, xi, theta, j, chunk=512):
-    """(S, dS/dxi, dS/dtheta) of V_j by the plain recurrence, one potential
-    at a time and one whole 512-degree block at a time: the reference the
-    sliced, two-potential kernel must reproduce bit for bit."""
-    s = frame.xi1 + frame.xi2
-    if j == 1:
-        p, q, sgn = 2.0 * frame.xi1 + xi, 2.0 * s - xi, -1.0
-    else:
-        p, q, sgn = 2.0 * frame.xi2 - xi, 2.0 * s + xi, 1.0
-    x, msin = np.cos(theta), -np.sin(theta)
-    leg = np.zeros((n_max + 2, xi.size))
-    dleg = np.zeros((n_max + 2, xi.size))
-    leg[0], leg[1], dleg[1] = 1.0, x, msin
-    for n in range(1, n_max + 1):
-        leg[n + 1] = ((2 * n + 1) * x * leg[n] - n * leg[n - 1]) / (n + 1)
-        dleg[n + 1] = (
-            (2 * n + 1) * (msin * leg[n] + x * dleg[n]) - n * dleg[n - 1]
-        ) / (n + 1)
-    out = np.zeros((3, xi.size))
-    comp = np.zeros((3, xi.size))
-    for n0 in range(0, n_max + 1, chunk):
-        n = np.arange(n0, min(n0 + chunk, n_max + 1), dtype=float)
-        m = n + 0.5
-        denom = -np.expm1(-(2.0 * n + 1.0) * s)[:, None]
-        ea = np.exp(-m[:, None] * p[None, :])
-        eb = np.exp(-m[:, None] * q[None, :])
-        t = (ea - eb) / denom
-        dt = (sgn * m)[:, None] * (ea + eb) / denom
-        rows = slice(n0, n0 + n.size)
-        parts = ((t * leg[rows]).sum(axis=0), (dt * leg[rows]).sum(axis=0),
-                 (t * dleg[rows]).sum(axis=0))
-        for k, val in enumerate(parts):  # Kahan-compensated block sums
-            y = val - comp[k]
-            tot = out[k] + y
-            comp[k] = (tot - out[k]) - y
-            out[k] = tot
-    return out
-
-
 @pytest.mark.parametrize("eps", [0.05, 1e-3])
-def test_strip_kernel_matches_plain_reference(eps):
+def test_image_kernel_matches_legendre_series(eps):
     frame = frame_from_pair(ResonatorPair(1.0, 2.0, eps))
-    n_max = potential_series(frame, tol=1e-10).n_max
+    # Legendre terms fall like e^{-(n + 1/2) min(xi1, xi2)}; 70 e-folds leave
+    # even the n^2-weighted theta-derivative tail far below the bounds
+    n_max = math.ceil(70.0 / min(frame.xi1, frame.xi2))
     rng = np.random.default_rng(7)
     cases = []
     for npts in (1, 7, 300):
@@ -91,13 +55,17 @@ def test_strip_kernel_matches_plain_reference(eps):
     cases.append((np.full(300, frame.xi2), theta))  # one sphere surface
     cases.append((np.where(theta < 1.5, -frame.xi1, frame.xi2), theta))  # both
     for xi, th in cases:
-        full = _strip_series(frame, n_max, xi, th, want_dxi=True, want_dth=True)
-        values, _, _ = _strip_series(frame, n_max, xi, th, want_dxi=False, want_dth=False)
+        val, dxi, dth = _image_sums(frame, xi, th)
+        d = 2.0 * (np.sinh(0.5 * xi) ** 2 + np.sin(0.5 * th) ** 2)
+        root = np.sqrt(2.0 * d)  # V_j = root * S_j
         for j in (1, 2):
-            want = _plain_strip_sums(frame, n_max, xi, th, j)
-            for k in range(3):
-                assert np.array_equal(full[k][j - 1], want[k])
-            assert np.array_equal(values[j - 1], want[0])
+            s, s_xi, s_th = legendre_strip_sums(frame, n_max, xi, th, j)
+            ds = val[j - 1] - s
+            assert np.max(root * np.abs(ds)) <= 1e-12
+            # alpha |grad V| = d |(dV/dxi, dV/dtheta)|
+            f_xi = root * (dxi[j - 1] - s_xi) + np.sinh(xi) / root * ds
+            f_th = root * (dth[j - 1] - s_th) + np.sin(th) / root * ds
+            assert np.max(d * np.hypot(f_xi, f_th)) <= 1e-11
 
 
 def test_boundary_traces(frame_12, series_12):
@@ -108,6 +76,17 @@ def test_boundary_traces(frame_12, series_12):
         assert eval_potential(series_12, 1, on2) == pytest.approx(0.0, abs=1e-10)
         assert eval_potential(series_12, 2, on1) == pytest.approx(0.0, abs=1e-10)
         assert eval_potential(series_12, 2, on2) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-30, 1e-100, 1e-300])
+def test_boundary_traces_at_tiny_gaps(eps):
+    frame = frame_from_pair(ResonatorPair(1.0, 2.0, eps))
+    ps = potential_series(frame, tol=1e-10)
+    theta = np.append(np.geomspace(1e-200, math.pi, 400), math.pi)
+    for xi0, want in ((-frame.xi1, (1.0, 0.0)), (frame.xi2, (0.0, 1.0))):
+        v = potential_field(ps, np.full_like(theta, xi0), theta).v
+        for j in (0, 1):
+            assert np.max(np.abs(v[j] - want[j])) <= ps.tol
 
 
 def test_interior_point_rejected(frame_12, series_12):
@@ -223,30 +202,37 @@ def test_potential_gradient_rejects_interior_points(frame_12, series_12):
         )
 
 
-def _kelvin_axis_grad_v(r1, r2, eps, j, x3s):
-    """d V_j / d x3 at gap-axis points, from Kelvin images at 40 digits.
+def _kelvin_images(r1, r2, eps, j):
+    """Kelvin image charges (q, z) on the x3 axis for V_j, as 40-digit mpf.
 
     V_j is 1 on sphere j and 0 on the other. The seed r_j at the centre
     of sphere j holds sphere j at 1; each image is reflected in the
     other sphere, q' = -q r / |z - c| at z' = c + r^2 / (z - c), until a
     charge falls below 1e-24 of the seed. Centres sit at -/+ sqrt(r^2 +
-    alpha^2), midway between the limit points as in the frame.
+    alpha^2), midway between the limit points as in the frame. Call it
+    inside mpmath.workdps(40).
     """
+    r1, r2, eps = mpmath.mpf(r1), mpmath.mpf(r2), mpmath.mpf(eps)
+    d = r1 + r2 + eps
+    alpha2 = ((d * d - r1 * r1 - r2 * r2) ** 2 - 4 * r1 * r1 * r2 * r2) / (4 * d * d)
+    spheres = [(-mpmath.sqrt(r1**2 + alpha2), r1), (mpmath.sqrt(r2**2 + alpha2), r2)]
+    k = j - 1
+    c, q = spheres[k]
+    floor = q * mpmath.mpf(10) ** -24
+    images = []
+    while abs(q) > floor:
+        images.append((q, c))
+        k = 1 - k
+        c_k, r_k = spheres[k]
+        w = c - c_k
+        q, c = -q * r_k / abs(w), c_k + r_k * r_k / w
+    return images
+
+
+def _kelvin_axis_grad_v(r1, r2, eps, j, x3s):
+    """d V_j / d x3 at gap-axis points, from Kelvin images at 40 digits."""
     with mpmath.workdps(40):
-        r1, r2, eps = mpmath.mpf(r1), mpmath.mpf(r2), mpmath.mpf(eps)
-        d = r1 + r2 + eps
-        alpha2 = ((d * d - r1 * r1 - r2 * r2) ** 2 - 4 * r1 * r1 * r2 * r2) / (4 * d * d)
-        spheres = [(-mpmath.sqrt(r1**2 + alpha2), r1), (mpmath.sqrt(r2**2 + alpha2), r2)]
-        k = j - 1
-        c, q = spheres[k]
-        floor = q * mpmath.mpf(10) ** -24
-        images = []
-        while abs(q) > floor:
-            images.append((q, c))
-            k = 1 - k
-            c_k, r_k = spheres[k]
-            w = c - c_k
-            q, c = -q * r_k / abs(w), c_k + r_k * r_k / w
+        images = _kelvin_images(r1, r2, eps, j)
         grads = []
         for x3 in x3s:
             # d/dx3 of q / |x3 - z| is -q (x3 - z) / |x3 - z|^3
@@ -256,6 +242,17 @@ def _kelvin_axis_grad_v(r1, r2, eps, j, x3s):
                 g -= q / (w * abs(w))
             grads.append(float(g))
         return grads
+
+
+def _kelvin_grad_v(r1, r2, eps, j, x):
+    """grad V_j at the Cartesian point x, from Kelvin images at 40 digits."""
+    with mpmath.workdps(40):
+        x1, x2, x3 = (mpmath.mpf(c) for c in x)
+        g = [mpmath.mpf(0)] * 3
+        for q, z in _kelvin_images(r1, r2, eps, j):
+            r3 = mpmath.sqrt(x1 * x1 + x2 * x2 + (x3 - z) ** 2) ** 3
+            g = [g[0] - q * x1 / r3, g[1] - q * x2 / r3, g[2] - q * (x3 - z) / r3]
+        return np.array([float(c) for c in g])
 
 
 @pytest.mark.parametrize("eps", [1e-5, 1e-6])
@@ -275,6 +272,24 @@ def test_gap_axis_gradient_meets_its_bound_against_kelvin_images(eps):
         got = eval_grad_potential(ps, 1, BisphericalPoint(xi, math.pi, 0.0))
         err = frame.alpha * math.hypot(got[0], got[1], got[2] - w)
         assert err <= tol, f"gap fraction {f}: alpha * error {err:.2e}"
+
+
+def test_far_gradient_near_the_axis_against_kelvin_images():
+    # far points near the x3 axis have small xi and theta, where
+    # 1 - cosh(xi) cos(theta) cancels unless formed in half-angle form, and
+    # theta loses digits unless taken from its sine as well as its cosine
+    pair = ResonatorPair(1.0, 2.0, 0.05)
+    frame = frame_from_pair(pair)
+    tol = 1e-10
+    ps = potential_series(frame, tol=tol)
+    for x in ((0.01, 0.0, 6.0), (0.01, 0.0, -6.0), (0.0, 1e-3, 60.0), (1e-3, 0.0, -600.0)):
+        b = to_bispherical(frame, CartesianPoint(*x))
+        for j in (1, 2):
+            want = _kelvin_grad_v(1.0, 2.0, 0.05, j, x)
+            got = eval_grad_potential(ps, j, b)
+            err = frame.alpha * np.linalg.norm(got - want)
+            assert err <= tol, f"x = {x}, V_{j}: alpha * error {err:.2e}"
+            assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
 
 
 def test_gradient_has_no_azimuthal_component(frame_12, series_12, spectral_12):
@@ -433,6 +448,19 @@ def test_surface_sweep_consistent_with_axis_endpoint(
     assert maxima[1] == pytest.approx(g_end, rel=0.05)
     # the in-phase surface maximum is order one, nowhere near the 1/eps scale
     assert maxima[0] < 0.05 * maxima[1]
+
+
+def test_blowup_study_at_tiny_gaps(water_air):
+    # the jump law max|grad u_n| * eps = |1 - d_n| + O(sqrt eps) of the
+    # benchmark's blow-up check, and the 1/eps rate of the anti-phase mode
+    study = blowup_study((1.0, 2.0), water_air, [1e-12, 1e-11, 1e-10, 1e-9], samples=100)
+    assert -1.1 <= study.slope_u2 <= -0.9
+    for row in study.rows:
+        pair = ResonatorPair(1.0, 2.0, row.epsilon)
+        sp = eigen(rescale(capacitance_exact(frame_from_pair(pair), tol=1e-12), pair))
+        for g, d_n in ((row.max_grad_u1, sp.d1), (row.max_grad_u2, sp.d2)):
+            jump = abs(1.0 - d_n)
+            assert abs(g * row.epsilon - jump) <= math.sqrt(row.epsilon) * max(1.0, jump)
 
 
 def test_blowup_study_grid_validation(water_air):
