@@ -10,6 +10,12 @@ The exact coefficients are
 summed over n >= 0, with C22 obtained by swapping xi1 and xi2. All
 series are evaluated in the overflow-safe form with only negative
 exponents, truncated with a certified geometric tail bound.
+
+A term costs multiplications, not exponentials. With x = 2n + 1 = x0 + 2j,
+exp(-x xi) = exp(-x0 xi) exp(-2j xi), so the factors exp(-2j xi1),
+exp(-2j xi2), exp(-2j s) and expm1(-2j s) are tabulated once per call
+for j < _CHUNK, and each chunk of _CHUNK terms rescales them by one
+scalar exp(-x0 xi).
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from .errors import TruncationCapError
 from .geometry import BisphericalFrame, ResonatorPair, frame_from_pair
 from .specfun import GAMMA_EULER, digamma, digamma_series_tail
 
-_CHUNK = 1 << 16
+# terms per chunk; a call holds seven float arrays of this length (896 KiB)
+_CHUNK = 1 << 14
 DEFAULT_TERM_CAP = 100_000_000
 
 
@@ -83,9 +90,19 @@ def _series_sums(
 ) -> tuple[float, float, float, int, float]:
     """Shared series evaluation; returns (S11, S22, S12, n_terms, tail_bound).
 
-    Terms are computed as exp(-(2n+1) xi_i) / (1 - exp(-(2n+1) s)) so no
-    intermediate can overflow. Chunks are summed pairwise by numpy and the
-    chunk totals are combined with math.fsum.
+    Terms are exp(-x xi_i) / (1 - exp(-x s)) with x = 2n + 1, so no
+    intermediate can overflow. The terms of a chunk starting at x0 are
+    exp(-x0 xi_i) * exp(-2j xi_i) * r_j with j = 0, 1, ..., where
+    1/r_j = 1 - exp(-(x0 + 2j) s) = -(ea + em_j (1 + ea)), ea = expm1(-x0 s)
+    and em_j = expm1(-2j s): expm1(a + b) = expm1(a) + expm1(b)(1 + expm1(a))
+    adds two negative numbers, so it never cancels, and one formula serves
+    every chunk. The exp(-2j xi) and expm1(-2j s) tables are built once per
+    call; a chunk costs one reciprocal and three multiply-and-sums over
+    them, and one scalar exp(-x0 xi) per series. Table entries that
+    underflow belong to terms that underflow too. Chunks are summed
+    pairwise by numpy (multiply, then sum; not a BLAS dot, whose threads
+    cost more than the sum on a short vector) and the chunk totals are
+    combined with math.fsum.
     """
     s = xi1 + xi2
     pref = 8.0 * math.pi * alpha
@@ -109,23 +126,26 @@ def _series_sums(
             f"cap is {cap}"
         )
 
-    sums11: list[float] = []
-    sums22: list[float] = []
-    sums12: list[float] = []
+    j2 = -2.0 * np.arange(min(_CHUNK, n_needed), dtype=float)
+    rates = (xi1, xi2, s)
+    tables = [np.exp(j2 * rate) for rate in rates]
+    em = np.expm1(j2 * s)
+    r = np.empty_like(j2)
+    prod = np.empty_like(j2)
+    sums: tuple[list[float], ...] = ([], [], [])
     for start in range(0, n_needed, _CHUNK):
-        n = np.arange(start, min(start + _CHUNK, n_needed), dtype=float)
-        x = 2.0 * n + 1.0
-        denom = -np.expm1(-x * s)
-        sums11.append(float((np.exp(-x * xi1) / denom).sum()))
-        sums22.append(float((np.exp(-x * xi2) / denom).sum()))
-        sums12.append(float((np.exp(-x * s) / denom).sum()))
-    return (
-        math.fsum(sums11),
-        math.fsum(sums22),
-        math.fsum(sums12),
-        n_needed,
-        tail(n_needed),
-    )
+        m = min(_CHUNK, n_needed - start)
+        x0 = 2.0 * start + 1.0
+        ea = math.expm1(-x0 * s)
+        rm = r[:m]
+        np.multiply(em[:m], -(1.0 + ea), out=rm)
+        rm -= ea
+        np.divide(1.0, rm, out=rm)
+        for rate, table, total in zip(rates, tables, sums):
+            np.multiply(table[:m], rm, out=prod[:m])
+            total.append(math.exp(-x0 * rate) * float(prod[:m].sum()))
+    s11, s22, s12 = (math.fsum(total) for total in sums)
+    return s11, s22, s12, n_needed, tail(n_needed)
 
 
 def capacitance_exact(

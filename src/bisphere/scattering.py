@@ -87,6 +87,16 @@ def _check_frequency(omega: float) -> None:
         raise ValueError(f"frequency must be positive, got {omega}")
 
 
+def _square(omega: float) -> float:
+    """omega**2 (Python's **, libm pow); an overflow names the omega."""
+    try:
+        return omega**2
+    except OverflowError:
+        raise OverflowError(
+            f"omega = {omega:g}: omega^2 overflows a double"
+        ) from None
+
+
 def _frequencies(
     cmat: CapacitanceMatrix, pair: ResonatorPair, material: Material
 ) -> tuple[float, float]:
@@ -146,7 +156,7 @@ def modal_coefficients(
     krad = wave.k * max(pair.r1, pair.r2)
     if krad > 0.5:
         _warn_outside_regime(krad, stacklevel=2)
-    w2 = wave.omega**2
+    w2 = _square(wave.omega)
     den1 = w2 - om1**2
     den2 = w2 - om2**2
     _check_poles(den1, den2, om1, om2, pole_guard)
@@ -215,8 +225,13 @@ def response_curve(
     omega = omegas.tolist()
     krad = omegas / material.v * max(pair.r1, pair.r2)
     # Python's ** (libm pow), not omegas * omegas, so that den1 and den2
-    # carry the bits of modal_coefficients' wave.omega**2
-    w2 = np.array([w**2 for w in omega])
+    # carry the bits of modal_coefficients' _square(wave.omega)
+    try:
+        w2 = np.array([w**2 for w in omega])
+    except OverflowError:
+        for w in omega:
+            _square(w)  # raises for the first omega whose square overflows
+        raise
     den1 = w2 - om1**2
     den2 = w2 - om2**2
     stops = (

@@ -18,7 +18,15 @@ GAMMA_EULER = 0.5772156649015329
 # digamma asymptotic series in w = 1/z^2 (Bernoulli terms), valid z >= 10
 _DIGAMMA_ASYMP = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0)
 
-_TAIL_DIRECT_TERMS = 2000
+# digamma_series_tail: the first _TAIL_HEAD terms are summed directly, the
+# rest as sum_{j>=2} z^(j-1) zeta(j, _TAIL_HEAD + 1) for j < _TAIL_ORDERS;
+# each order shrinks by a factor z/(_TAIL_HEAD + 1), so the first omitted
+# one is below (z/65)^28 of the j = 2 term
+_TAIL_HEAD = 64
+_TAIL_ORDERS = 30
+_HEAD_N = np.arange(1.0, _TAIL_HEAD + 1.0)
+_TAIL_POWERS = np.arange(1.0, _TAIL_ORDERS - 1.0)  # j - 1 for j = 2 ... 29
+_TAIL_ZETA = _hurwitz_zeta(_TAIL_POWERS + 1.0, _TAIL_HEAD + 1.0)
 
 
 def legendre_p(n: int, x: float) -> float:
@@ -57,23 +65,16 @@ def digamma(z: float) -> float:
 
 
 def digamma_series_tail(z: float) -> float:
-    """sum_{n>=1} z / (n (n - z)) for 0 < z < 1, to ~1e-14 absolute.
+    """sum_{n>=1} z / (n (n - z)) for 0 < z < 1, to a few ulps relative.
 
-    The first 2000 terms are summed directly (exact-compensated); the
-    remainder is re-expanded as sum_{j>=2} z^(j-1) zeta(j, N+1), a
-    geometrically convergent Hurwitz-zeta correction, so the quadratic
-    term decay never forces ~1e13 direct terms.
+    This is -gamma - psi(1 - z), but the direct difference cancels for
+    small z. The first 64 terms are summed exactly rounded (math.fsum);
+    the remainder is re-expanded as sum_{j>=2} z^(j-1) zeta(j, 65), a
+    Hurwitz-zeta series whose terms fall by a factor z/65 each, so the
+    quadratic decay of the terms never forces a long direct sum.
     """
     if not 0.0 < z < 1.0:
         raise ValueError(f"tail sum requires z in (0, 1), got {z}")
-    n = np.arange(1, _TAIL_DIRECT_TERMS + 1, dtype=float)
-    direct = math.fsum(z / (n * (n - z)))
-    tail = 0.0
-    zp = z  # z^(j-1) for j = 2
-    for j in range(2, 60):
-        term = zp * float(_hurwitz_zeta(j, _TAIL_DIRECT_TERMS + 1))
-        tail += term
-        if term < 1e-17:
-            break
-        zp *= z
-    return direct + tail
+    head = z / (_HEAD_N * (_HEAD_N - z))
+    tail = np.power(z, _TAIL_POWERS) * _TAIL_ZETA
+    return math.fsum(head.tolist() + tail.tolist())

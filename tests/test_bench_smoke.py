@@ -1,12 +1,12 @@
 """Smoke runs of the benchmark harness, so that it cannot rot unnoticed.
 
-Runs the gap_blowup, field_points and spectra_ladder workloads on their
-smoke inputs for one second each, untraced, and checks that every
-operation ran and matched its reference: the deepest blow-up maximum, the
-potentials and mode gradients at general points against Kelvin images,
-and the capacitance, spectra and response-curve cells (response peaks on
-the resonances, |b| = 0 for equal spheres) against mpmath image sums.
-"""
+Runs the gap_blowup, field_points, spectra_ladder and cli_session
+workloads on their smoke inputs for one second each, untraced, and checks
+that every operation ran and matched its reference: the deepest blow-up
+maximum, the potentials and mode gradients at general points against
+Kelvin images, the capacitance, spectra and response-curve cells
+(response peaks on the resonances, |b| = 0 for equal spheres) against
+mpmath image sums, and the output of cold `bisphere` processes."""
 
 import json
 import subprocess
@@ -43,3 +43,11 @@ def test_spectra_ladder_smoke_run_is_correct():
     # turns those two into ordinary cells, which changes this count.
     assert result["attempted"] > 0
     assert 3 * result["failed"] == result["attempted"]
+
+
+def test_cli_session_smoke_run_is_correct():
+    # cold `capacitance --eps 1e-10` and `field` processes, checked against
+    # mpmath by the benchmark's own CLI check
+    result = _smoke_run("cli_session")
+    assert result["attempted"] > 0
+    assert result["failed"] == 0

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bisphere import (
+    BisphericalFrame,
     ResonatorPair,
     TruncationCapError,
     capacitance_asymptotic_rescaled,
@@ -14,6 +15,7 @@ from bisphere import (
     rescale,
     sigma_terms,
 )
+from bisphere.capacitance import _CHUNK
 
 # frozen with an mpmath (50 digit) evaluation of the bispherical series
 C_12_005 = (25.06122560143623, -18.778117859663308, 40.180464148599846)
@@ -139,3 +141,79 @@ def test_matrix_validation_rejects_bad_signs():
     with pytest.raises(ValueError):
         # off-diagonal cannot outweigh the diagonal
         CapacitanceMatrix(c11=1.0, c12=-2.0, c21=-2.0, c22=1.0, n_terms=1, tail_bound=0.0)
+
+
+def _closed_form_truncation(frame: BisphericalFrame, tol: float) -> tuple[int, float]:
+    """n_terms and tail_bound of the certified geometric tail, from the formulas.
+
+    Every term of every series is at most 8 pi alpha exp(-(2n+1) a) / (1 -
+    exp(-s)) with a = min(xi1, xi2) and s = xi1 + xi2, so the tail from
+    term n on is below 8 pi alpha exp(-(2n+1) a) / ((1 - exp(-s))(1 - exp(-2a))).
+    """
+    a = min(frame.xi1, frame.xi2)
+    s = frame.xi1 + frame.xi2
+    pref = 8.0 * math.pi * frame.alpha
+
+    def tail(n):
+        return pref * math.exp(-(2 * n + 1) * a) / (-math.expm1(-s) * -math.expm1(-2.0 * a))
+
+    n = 0
+    if tail(0) > tol:
+        n = math.ceil(math.log(tail(0) / tol) / (2.0 * a)) + 1
+    return n, tail(n)
+
+
+def _tol_for_terms(frame: BisphericalFrame, n_terms: int) -> float:
+    """A tolerance whose certified truncation keeps exactly n_terms terms."""
+    a = min(frame.xi1, frame.xi2)
+    _, tail0 = _closed_form_truncation(frame, math.inf)
+    tol = tail0 * math.exp(-2.0 * a * (n_terms - 1.5))
+    assert _closed_form_truncation(frame, tol)[0] == n_terms
+    return tol
+
+
+def _plain_series(frame: BisphericalFrame, n_terms: int) -> tuple[float, float, float]:
+    """C11, C12, C22 from a per-term loop over the first n_terms terms."""
+    xi1, xi2 = frame.xi1, frame.xi2
+    s = xi1 + xi2
+    s11, s22, s12 = [], [], []
+    for n in range(n_terms):
+        x = 2 * n + 1
+        denom = -math.expm1(-x * s)
+        s11.append(math.exp(-x * xi1) / denom)
+        s22.append(math.exp(-x * xi2) / denom)
+        s12.append(math.exp(-x * s) / denom)
+    pref = 8.0 * math.pi * frame.alpha
+    return pref * math.fsum(s11), -pref * math.fsum(s12), pref * math.fsum(s22)
+
+
+@pytest.mark.parametrize(
+    "radii, eps, tol, n_terms",
+    [
+        pytest.param((1.0, 2.0), 0.05, 1e-12, None, id="one-chunk"),
+        # several chunks, and exp(-2j xi1) underflows in every one of them
+        pytest.param((1.0, 1e3), 0.01, 1e-12, None, id="several-chunks-r1e3"),
+        # the tables underflow: exp(-2j xi1) past j = 283 of 12 k terms
+        pytest.param((1.0, 1e3), 1.0, 1e-14, None, id="underflow-r1e3"),
+        # exp(-2j xi2) past j = 3 772 of 7 k terms
+        pytest.param((7.3, 0.2), 1e-3, 1e-14, None, id="underflow-r0.2"),
+        # a last chunk of one term, a series that ends on a chunk boundary,
+        # and one that ends a term short of it
+        pytest.param((1.0, 2.0), 1e-6, None, _CHUNK + 1, id="chunk-plus-one"),
+        pytest.param((1.0, 2.0), 1e-6, None, 2 * _CHUNK, id="two-full-chunks"),
+        pytest.param((0.5, 3.0), 1e-7, None, 3 * _CHUNK - 1, id="three-chunks-less-one"),
+    ],
+)
+def test_series_equals_a_per_term_sum(radii, eps, tol, n_terms):
+    frame = frame_from_pair(ResonatorPair(*radii, eps))
+    if tol is None:
+        tol = _tol_for_terms(frame, n_terms)
+    c = capacitance_exact(frame, tol=tol)
+    n_terms, tail_bound = _closed_form_truncation(frame, tol)
+    assert c.n_terms == n_terms
+    assert c.tail_bound == tail_bound
+    c11, c12, c22 = _plain_series(frame, n_terms)
+    assert c.c11 == pytest.approx(c11, rel=4e-15)
+    assert c.c12 == pytest.approx(c12, rel=4e-15)
+    assert c.c21 == c.c12
+    assert c.c22 == pytest.approx(c22, rel=4e-15)

@@ -292,6 +292,21 @@ def test_scattering_response(tmp_path):
     assert len(_data_rows(text)) == 40
 
 
+def test_scattering_overflowing_omega_is_a_numerical_failure(capsys):
+    rc = run(
+        [
+            "scattering",
+            "--r1", "1", "--r2", "2", "--eps", "0.05",
+            "--rho-b", "1e-3", "--kappa-b", "1e-3",
+            "--omega-grid", "0.05,1e200",
+        ]
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "omega = 1e+200" in err
+    assert "omega^2 overflows a double" in err
+
+
 def test_sweep_capacitance_jobs_deterministic(tmp_path):
     base = [
         "sweep",

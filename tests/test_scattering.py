@@ -245,3 +245,13 @@ def test_response_curve_warnings_and_errors_follow_the_grid_order(water_air):
         response_curve(cmat, pair, water_air, [0.1], [0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="frequency"):
         response_curve(cmat, pair, water_air, [0.1, -0.1], Z)
+
+
+def test_overflowing_omega_squared_is_named(pair_12, cap_12, water_air):
+    # 1e200**2 overflows a double; the error names that omega and the cause
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(OverflowError, match=r"omega = 1e\+200: omega\^2 overflows"):
+            modal_coefficients(cap_12, pair_12, water_air, _wave(1e200, water_air))
+        with pytest.raises(OverflowError, match=r"omega = 1e\+200: omega\^2 overflows"):
+            response_curve(cap_12, pair_12, water_air, [0.05, 1e200, 2e200], Z)

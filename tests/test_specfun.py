@@ -98,3 +98,21 @@ def test_digamma_series_tail_rejects_out_of_domain():
     for z in (0.0, 1.0, -0.3, 2.0):
         with pytest.raises(ValueError):
             digamma_series_tail(z)
+
+
+@pytest.mark.parametrize(
+    "z",
+    [1e-14, 1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.25, 1 / 3, 0.5, 0.62, 0.9, 0.99,
+     0.999, 1 - 1e-6, 1 - 1e-10, 1 - 1e-14],
+)
+def test_digamma_series_tail_against_mpmath(z):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        zm = mpmath.mpf(z)
+        if z < 1e-6:
+            # -gamma - psi(1 - z) cancels to z zeta(2); sum the series itself
+            want = mpmath.nsum(lambda n: zm / (n * (n - zm)), [1, mpmath.inf])
+        else:
+            want = -mpmath.euler - mpmath.digamma(1 - zm)
+        want = float(want)
+    assert digamma_series_tail(z) == pytest.approx(want, rel=1e-15, abs=0.0)
