@@ -116,8 +116,9 @@ def _series_sums(
         top = math.exp(-(2 * n_next + 1) * a)
         return pref * top / (denom0 * -math.expm1(-2.0 * a))
 
-    # smallest n with certified tail below tol
-    n_needed = 0
+    # smallest n >= 1 with certified tail below tol: a sum of no terms
+    # would be no capacitance at all, however loose tol is
+    n_needed = 1
     if tail(0) > tol:
         n_needed = int(math.ceil((math.log(tail(0) / tol)) / (2.0 * a))) + 1
     if n_needed > cap:

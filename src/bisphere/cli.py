@@ -200,6 +200,8 @@ def _parse_vec3(text: str, name: str) -> tuple[float, float, float]:
         x, y, z = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad {name} {text!r}: {exc}") from exc
+    if not all(math.isfinite(v) for v in (x, y, z)):
+        raise ConfigError(f"{name} {text} is not finite")
     return x, y, z
 
 

@@ -19,14 +19,18 @@ function (DLMF 18.12.11) gives
 with (p, q) = (2 xi1 + xi, 2 s - xi) for V_1 and (2 xi2 - xi, 2 s + xi)
 for V_2. The first _HEAD terms are summed directly and the rest by
 Euler-Maclaurin (DLMF 2.10.1): the integral over [p, q] shifted by
-2 _HEAD s, by Gauss-Legendre, and _EM_ORDER Bernoulli corrections from
-scaled Taylor coefficients of G. The cost is the same at every gap.
-A small batch sends several head images, and every batch all Gauss
-nodes, through each numpy call as one stacked array, so that a
-single point does not pay a round of numpy calls per image; a large
-batch takes one image at a time, which keeps its arrays in cache. Every
-sum still adds its terms one at a time in a fixed order, so a point's
-values are the same bits in any batch.
+2 _HEAD s, by Gauss-Legendre, and _EM_ORDER Bernoulli corrections in
+closed form. The scaled Taylor coefficients of G are fixed polynomials
+in two bounded ratios X and Y, so each correction sum is one pass of
+fixed rational weights over the 25 monomials X^i Y^j with 2i + j <= 8
+(_em_tails). The cost is the same at every gap.
+A small batch (at most _SMALL points) sends all head images, and every
+batch all Gauss nodes, through each numpy call as one stacked array and
+adds stacked terms with one accumulate, so that a single point does not
+pay a round of numpy calls per image or per term; a large batch takes
+one image at a time, which keeps its arrays in cache, and adds in a
+loop. Every sum still adds its terms one at a time in a fixed order, so
+a point's values are the same bits in any batch.
 Gradients are exact derivatives of the same sums: dG/dw = -sinh(w) G^3
 and dG/dtheta = -sin(theta) G^3. Mode n is u_n = d_n V_1 + V_2 with the
 eigenvector ratio d_n.
@@ -34,6 +38,7 @@ eigenvector ratio d_n.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,12 +54,72 @@ _HEAD = 32  # image terms summed directly
 # 2048 gave the fastest potential_field from 8 to 800 points and was
 # within 5 % of the best at 1 and 1600 points
 _STACK = 2048
-_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)  # B_2 ... B_8
-_EM_ORDER = len(_BERNOULLI)
+_EM_ORDER = 4  # Bernoulli corrections in the tail, B_2 ... B_8
 _B_NEXT = 5.0 / 66.0  # B_10, of the first omitted correction
+_SMALL = _STACK // _HEAD  # a batch of at most this many points stacks everything
+# the tails' monomials X^i Y^j, 2 i + j <= 2 _EM_ORDER, by degree 2 i + j
+_MONOMIALS = tuple((i, n - 2 * i) for n in range(2 * _EM_ORDER + 1) for i in range(n // 2 + 1))
+_MONO_I = [i for i, _ in _MONOMIALS]
+_MONO_J = [j for _, j in _MONOMIALS]
+# Tail weights W_m(h) = c_0 + c_1 h^2 + c_2 h^4 + ... of the monomials m = (i, j)
+# (absent ones weigh 0) in the tails of G, h dG/dw and sin(theta) G^3: exact
+# rationals, which a test rebuilds from Miller's recurrence
+_TAIL_WEIGHTS = (
+    {  # G
+        (0, 0): (1 / 2,),
+        (0, 1): (1 / 24, -1 / 1440, 1 / 60480, -1 / 2419200),
+        (0, 3): (-1 / 384, 5 / 8064, -13 / 92160),
+        (1, 1): (1 / 320, -1 / 2688, 1 / 25600),
+        (0, 5): (1 / 1024, -7 / 8192),
+        (1, 3): (-5 / 2304, 49 / 36864),
+        (2, 1): (5 / 5376, -1 / 3072),
+        (0, 7): (-143 / 163840,),
+        (1, 5): (231 / 81920,),
+        (2, 3): (-21 / 8192,),
+        (3, 1): (7 / 12288,),
+    },
+    {  # h dG/dw
+        (0, 0): (-1.0,),
+        (0, 1): (-1 / 4,),
+        (0, 2): (-1 / 16, 1 / 240, -1 / 2520, 1 / 25200),
+        (1, 0): (1 / 24, -1 / 1440, 1 / 60480, -1 / 2419200),
+        (0, 4): (7 / 768, -5 / 1152, 7 / 3840),
+        (1, 2): (-1 / 64, 25 / 5376, -3 / 2560),
+        (2, 0): (1 / 320, -1 / 2688, 1 / 25600),
+        (0, 6): (-11 / 2048, 77 / 10240),
+        (1, 4): (15 / 1024, -63 / 4096),
+        (2, 2): (-5 / 512, 7 / 1024),
+        (3, 0): (5 / 5376, -1 / 3072),
+        (0, 8): (429 / 65536,),
+        (1, 6): (-1001 / 40960,),
+        (2, 4): (231 / 8192,),
+        (3, 2): (-21 / 2048,),
+        (4, 0): (7 / 12288,),
+    },
+    {  # sin(theta) G^3
+        (0, 0): (1 / 2,),
+        (0, 1): (1 / 8, -1 / 480, 1 / 20160, -1 / 806400),
+        (0, 3): (-7 / 384, 5 / 1152, -91 / 92160),
+        (1, 1): (1 / 64, -5 / 2688, 1 / 5120),
+        (0, 5): (11 / 1024, -77 / 8192),
+        (1, 3): (-5 / 256, 49 / 4096),
+        (2, 1): (5 / 768, -7 / 3072),
+        (0, 7): (-429 / 32768,),
+        (1, 5): (3003 / 81920,),
+        (2, 3): (-231 / 8192,),
+        (3, 1): (21 / 4096,),
+    },
+)
+# for each monomial, the tails that weigh it
+_MONO_TAILS = tuple(
+    tuple(t for t, table in enumerate(_TAIL_WEIGHTS) if mono in table) for mono in _MONOMIALS
+)
 # 4-point Gauss-Legendre rule on [-1, 1]: (node t, weight) for nodes -t and t
 _GAUSS = ((0.8611363115940526, 0.34785484513745357), (0.33998104358485626, 0.6521451548625464))
-_GAUSS_WEIGHTS = np.repeat([weight for _, weight in _GAUSS], 2)[:, None, None]
+_GAUSS_NODES = np.array([sign * t for t, _ in _GAUSS for sign in (-1.0, 1.0)])[:, None, None]
+_GAUSS_WEIGHTS = np.repeat([weight for _, weight in _GAUSS], 2)[:, None, None, None]
+# S_j adds G(p) - G(q); its xi-derivative dG/dw(p) + dG/dw(q), since dq/dxi = -dp/dxi
+_PAIR_SIGNS = np.array([-1.0, 1.0, -1.0])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -169,57 +234,119 @@ def _parts(w: np.ndarray, sh2: np.ndarray):
     return e, em1, em1 * em1 + 4.0 * e * sh2
 
 
-def _kernel(w: np.ndarray, sh2: np.ndarray, st: np.ndarray):
+def _kernel(w: np.ndarray, sh2: np.ndarray, st: np.ndarray) -> np.ndarray:
     """G, dG/dw = -sinh(w) G^3 and -dG/dtheta = sin(theta) G^3 at w.
 
+    For w of shape (..., R, N) the result has shape (..., 3, R, N).
     Each derivative scales G by one ratio, so G^3, which overflows once
     w and theta are both below ~1e-103, is never formed.
     """
     e, em1, dd = _parts(w, sh2)
-    g = np.sqrt(e / dd)
-    return g, (0.5 * em1 * (1.0 + e) / dd) * g, (st * e / dd) * g
+    out = np.empty((*w.shape[:-2], 3, *w.shape[-2:]))
+    g = np.sqrt(e / dd, out=out[..., 0, :, :])
+    np.multiply((0.5 * em1 * (1.0 + e) / dd), g, out=out[..., 1, :, :])
+    np.multiply((st * e / dd), g, out=out[..., 2, :, :])
+    return out
 
 
-def _taylor(w: np.ndarray, sh2: np.ndarray, st: np.ndarray, h: float):
-    """Scaled Taylor coefficients h^m f^(m)(w) / m! of f = G and f = sin(theta) G^3.
+def _in_order(op: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """a[k] = op(a[k - 1], a[k]) for k = 1, 2, ... in turn; returns a[-1].
 
-    Orders 0 ... 2 _EM_ORDER for G and 0 ... 2 _EM_ORDER - 1 for the other.
-    F(w + h t) / F(w) = 1 + sum_m phi_m t^m for F = 2 (cosh w - cos theta),
-    with phi_m = h^m / m! times 2 cosh(w) / F (m even) or 2 sinh(w) / F
-    (m odd); its powers -1/2 and -3/2 follow J. C. P. Miller's recurrence.
-    Only ratios enter, so nothing overflows however small h is.
+    A small batch (at most _SMALL points on the last axis) takes one
+    op.accumulate, a large one a loop, whose contiguous rows run faster
+    than the accumulate's strided walk down axis 0. Either way every row
+    is one operation on the row before, so a point's values do not
+    depend on its batch; np.sum would not do, since it may switch to
+    pairwise summation (it does when the summed axis ends up innermost,
+    as for a single point).
+    """
+    if a.shape[-1] <= _SMALL:
+        op.accumulate(a, axis=0, out=a)
+    else:
+        for k in range(1, len(a)):
+            op(a[k - 1], a[k], out=a[k])
+    return a[-1]
+
+
+def _em_tails(w: np.ndarray, sh2: np.ndarray, st: np.ndarray, h: float) -> np.ndarray:
+    """Euler-Maclaurin tails of G, dG/dw and sin(theta) G^3 at the tail start w, stacked.
+
+    Each is f(w) / 2 - sum_j B_2j / (2j)! h^(2j-1) f^(2j-1)(w), the sum
+    over k >= 0 of f(w + k h) less the integral over [w, oo) divided by
+    h, from scaled Taylor coefficients of f; for dG/dw the integral,
+    -G(w) / h, is part of it. With F = 2 (cosh w - cos theta),
+    F(w + h t) / F(w) = 1 + E (cosh ht - 1) + O sinh ht, E = 2 cosh(w) / F
+    and O = 2 sinh(w) / F, so every scaled coefficient of F^(-1/2) and
+    F^(-3/2) is a fixed polynomial in X = h^2 E and Y = h O, and each tail
+    is G or sin(theta) G^3 times sum_m W_m(h) X^i Y^j over the monomials
+    m = (i, j) of _MONOMIALS. As w >= K h, X <= h^2 + 2 / K^2 and
+    Y <= h + 2 / K, so no power overflows however small w and theta are
+    (E and O themselves grow like 1 / w^2 and 1 / w). The monomials are
+    added one at a time in their fixed order: a small batch stacks them
+    all, a large one loops over them and skips those of weight 0 in a
+    tail, which would leave its sum as it is.
     """
     e, em1, dd = _parts(w, sh2)
-    even, odd = (1.0 + e * e) / dd, -em1 * (1.0 + e) / dd
-    top = 2 * _EM_ORDER
-    phi = [None] + [h**m / math.factorial(m) * (odd if m % 2 else even) for m in range(1, top + 1)]
+    x = h * ((1.0 + e * e) / dd) * h
+    y = h * (-em1 * (1.0 + e) / dd)
+    xp, yp = _powers(x, _EM_ORDER), _powers(y, 2 * _EM_ORDER)
+    weights = _tail_weights(h)
+    if w.shape[-1] <= _SMALL:
+        tails = _in_order(np.add, weights * (xp[_MONO_I] * yp[_MONO_J])[:, None])
+    else:
+        tails = np.zeros((3, *w.shape))
+        mono = np.empty_like(w)
+        for k, (i, j) in enumerate(_MONOMIALS):
+            np.multiply(xp[i], yp[j], out=mono)
+            for t in _MONO_TAILS[k]:
+                tails[t] += weights[k, t, 0, 0] * mono
     g = np.sqrt(e / dd)
-    out = []
-    for power, base, orders in ((-0.5, g, top), (-1.5, (st * e / dd) * g, top - 1)):
-        y = [np.ones_like(w)]
-        for m in range(1, orders + 1):
-            y.append(sum(((power + 1.0) * k - m) * phi[k] * y[m - k] for k in range(1, m + 1)) / m)
-        out.append([base * c for c in y])
+    tails[:2] *= g
+    tails[2] *= (st * e / dd) * g
+    return tails
+
+
+def _powers(x: np.ndarray, top: int) -> np.ndarray:
+    """x^0, x^1, ..., x^top stacked, each power one product from the last."""
+    out = np.empty((top + 1, *x.shape))
+    out[0] = 1.0
+    out[1:] = x
+    _in_order(np.multiply, out)
     return out
 
 
-def _em_tail(c: list) -> np.ndarray:
-    """f(K) / 2 - sum_j B_2j / (2j)! f^(2j-1)(K) from scaled Taylor coefficients."""
-    out = 0.5 * c[0]
-    for j, b in enumerate(_BERNOULLI, start=1):
-        out = out - (b / (2 * j)) * c[2 * j - 1]
+@functools.lru_cache(maxsize=64)
+def _tail_weights(h: float) -> np.ndarray:
+    """W_m(h) of the three tails, shape (len(_MONOMIALS), 3, 1, 1); the dG/dw ones carry 1/h."""
+    h2 = h * h
+    out = np.zeros((len(_MONOMIALS), 3, 1, 1))
+    for t, table in enumerate(_TAIL_WEIGHTS):
+        for k, mono in enumerate(_MONOMIALS):
+            acc = 0.0
+            for c in reversed(table.get(mono, ())):
+                acc = acc * h2 + c
+            out[k, t] = acc
+    out[:, 1] /= h
+    out.flags.writeable = False
     return out
 
 
-def _add_in_order(total: np.ndarray, terms: np.ndarray) -> None:
-    """total += terms[0], then terms[1], ..., one at a time.
+def _add_images(total: np.ndarray, f: np.ndarray) -> None:
+    """total += f(p) - f(q) (f(p) + f(q) for dG/dw) of each stacked image in turn.
 
-    np.sum over the term axis may switch to pairwise summation (it does
-    when that axis ends up innermost, as for a single point), which
-    would make a point's sums depend on its batch.
+    f is _kernel's (images, 3, 4, N) and is overwritten: the pairs are
+    combined in place, which keeps a large batch's peak memory down. A
+    small batch adds the images with one accumulate, a large one in a loop.
     """
-    for term in terms:
-        total += term
+    f[:, 0::2, 0::2] -= f[:, 0::2, 1::2]
+    f[:, 1, 0::2] += f[:, 1, 1::2]
+    terms = f[:, :, 0::2]
+    if total.shape[-1] <= _SMALL:
+        terms[0] += total
+        total[...] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+    else:
+        for term in terms:
+            total += term
 
 
 def _image_sums(frame: BisphericalFrame, xi: np.ndarray, theta: np.ndarray):
@@ -231,6 +358,7 @@ def _image_sums(frame: BisphericalFrame, xi: np.ndarray, theta: np.ndarray):
     numpy calls per image, up to _STACK // N head images go through one
     call as a stacked array, and so do the eight Gauss nodes; a large
     batch, whose stack would outgrow the cache, takes one image at a time.
+    The three sums travel together as one (3, 2, N) array.
     """
     s = frame.xi1 + frame.xi2
     h = 2.0 * s
@@ -238,31 +366,23 @@ def _image_sums(frame: BisphericalFrame, xi: np.ndarray, theta: np.ndarray):
     # image arguments, rows p_1, q_1, p_2, q_2; S_j sums G(p_j) - G(q_j)
     w = np.stack([2.0 * frame.xi1 + xi, 2.0 * s - xi, 2.0 * frame.xi2 - xi, 2.0 * s + xi])
     depth = max(_STACK // max(xi.size, 1), 1)
-    val, dxi, mdth = np.zeros((3, 2, xi.size))  # mdth = -dS/dtheta
+    # S, dS/dxi with V_1's sign dp/dxi = +1, and -dS/dtheta
+    sums = np.zeros((3, 2, xi.size))
     shifts = np.arange(_HEAD) * h
     for k0 in range(0, _HEAD, depth):
-        g, dg, g3 = _kernel(w + shifts[k0:k0 + depth, None, None], sh2, st)
-        _add_in_order(val, g[:, 0::2] - g[:, 1::2])
-        _add_in_order(dxi, dg[:, 0::2] + dg[:, 1::2])
-        _add_in_order(mdth, g3[:, 0::2] - g3[:, 1::2])
-    # Euler-Maclaurin tail from k = _HEAD: integrals over [p, q] + K h
+        _add_images(sums, _kernel(w + shifts[k0:k0 + depth, None, None], sh2, st))
+    # Euler-Maclaurin tail from k = _HEAD: the closed-form corrections, and
+    # integrals over [p, q] + K h by Gauss-Legendre (dG/dw needs none)
     w = w + _HEAD * h
+    tails = _em_tails(w, sh2, st, h)
     mid, half = 0.5 * (w[0::2] + w[1::2]), 0.5 * (w[1::2] - w[0::2])
-    nodes = [node for t, _ in _GAUSS for node in (mid - t * half, mid + t * half)]
-    g, _, g3 = _kernel(np.stack(nodes), sh2, st)
-    int_g, int_g3 = np.zeros((2, *mid.shape))
-    _add_in_order(int_g, _GAUSS_WEIGHTS * g)
-    _add_in_order(int_g3, _GAUSS_WEIGHTS * g3)
-    c, c3 = _taylor(w, sh2, st, h)
-    # the tail of dG/dw: integral -G / h, Taylor coefficients (m + 1) c_{m+1} / h
-    tail_d = _em_tail([(m + 1) * c[m + 1] / h for m in range(len(c) - 1)]) - c[0] / h
-    tail, tail_3 = _em_tail(c), _em_tail(c3)
-    val += half / h * int_g + (tail[0::2] - tail[1::2])
-    dxi += tail_d[0::2] + tail_d[1::2]
-    mdth += half / h * int_g3 + (tail_3[0::2] - tail_3[1::2])
-    # dp/dxi = +1 for V_1 and -1 for V_2, and dq/dxi = -dp/dxi
-    dxi[1] = -dxi[1]
-    return val, dxi, -mdth
+    g = _kernel(mid + _GAUSS_NODES * half, sh2, st)
+    g *= _GAUSS_WEIGHTS
+    sums[0::2] += half / h * _in_order(np.add, g)[0::2]
+    sums += tails[:, 0::2] + _PAIR_SIGNS * tails[:, 1::2]
+    # dq/dxi = -dp/dxi, and dp/dxi = -1 for V_2
+    sums[1, 1] = -sums[1, 1]
+    return sums[0], sums[1], -sums[2]
 
 
 def _check_strip(frame: BisphericalFrame, xi: np.ndarray) -> None:
@@ -273,15 +393,18 @@ def _check_strip(frame: BisphericalFrame, xi: np.ndarray) -> None:
         raise ValueError("point lies inside resonator 1 (xi < -xi1)")
 
 
-def _metric_d(xi, theta):
-    """cosh(xi) - cos(theta), formed without cancellation.
-
-    The direct difference loses most of its digits when xi and theta
-    are both small (far-field points, or the theta=0 pole of a
-    boundary whose xi_i shrinks with the gap); the half-angle form
-    2*(sinh(xi/2)^2 + sin(theta/2)^2) is exact to roundoff everywhere.
-    """
-    return 2.0 * (np.square(np.sinh(0.5 * xi)) + np.square(np.sin(0.5 * theta)))
+def _as_points(xi, theta, phi):
+    """xi, theta and phi (unless None) as finite float arrays of one shape."""
+    out = []
+    for name, a in (("xi", xi), ("theta", theta), ("phi", phi)):
+        if a is not None:
+            a = np.atleast_1d(np.asarray(a, dtype=float))
+            if out and a.shape != out[0].shape:
+                raise ValueError(f"{name} has shape {a.shape}, xi has {out[0].shape}")
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} holds a non-finite value")
+        out.append(a)
+    return out
 
 
 def potential_field(ps: PotentialSeries, xi, theta, phi=None) -> PotentialField:
@@ -289,18 +412,25 @@ def potential_field(ps: PotentialSeries, xi, theta, phi=None) -> PotentialField:
 
     The one evaluator of the potentials; xi, theta and phi are
     equal-length arrays of points of the closed exterior strip, where a
-    boundary value is the one-sided exterior limit. Interior points
-    raise ValueError. Every point goes through the same image sums with
-    their Euler-Maclaurin tail, at a cost independent of the gap, and
-    its result does not depend on the other points of the batch.
+    boundary value is the one-sided exterior limit. Interior points,
+    non-finite values and arrays of different lengths raise ValueError.
+    Every point goes through the same image sums with their
+    Euler-Maclaurin tail, at a cost independent of the gap, and its
+    result does not depend on the other points of the batch.
     """
     frame = ps.frame
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    xi, theta, phi = _as_points(xi, theta, phi)
     _check_strip(frame, xi)
     s_val, s_xi, s_th = _image_sums(frame, xi, theta)
-    # V_j = sqrt(2 d) S_j with d = cosh(xi) - cos(theta)
-    sqd = np.sqrt(_metric_d(xi, theta))
+    # V_j = sqrt(2 d) S_j with d = cosh(xi) - cos(theta) = 2 (sinh(xi/2)^2 + sin(theta/2)^2):
+    # the half-angle form does not cancel when xi and theta are both small
+    # (far points, or the theta = 0 pole of a sphere at a narrow gap). Its
+    # squares underflow beyond |x| ~ 1e150 alpha, where the root is a hypot
+    a, b = np.sinh(0.5 * xi), np.sin(0.5 * theta)
+    sqd = np.sqrt(2.0 * (np.square(a) + np.square(b)))
+    far = sqd < 1e-150
+    if far.any():
+        sqd[far] = _SQRT2 * np.hypot(a[far], b[far])
     v = _SQRT2 * sqd * s_val
     if phi is None:
         return PotentialField(v=v, grad=None)
@@ -312,7 +442,6 @@ def potential_field(ps: PotentialSeries, xi, theta, phi=None) -> PotentialField:
     w = 2.0 * (np.cosh(xi) * np.square(np.sin(0.5 * theta)) - np.square(np.sinh(0.5 * xi)))
     radial = f_xi * (-st * sh) - f_th * w
     axial = f_xi * w + f_th * (-sh * st)
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
     inv_alpha = 1.0 / frame.alpha
     grad = np.stack(
         [inv_alpha * radial * np.cos(phi), inv_alpha * radial * np.sin(phi),

@@ -136,22 +136,31 @@ def _as_cartesian(p) -> CartesianPoint:
 def to_bispherical(frame: BisphericalFrame, p) -> BisphericalPoint:
     """Invert the coordinate map in closed form.
 
-    Uses the distances R1, R2 to the limit points (0, 0, -alpha) and
-    (0, 0, +alpha):  xi = log(R1/R2)  and
+    With R1, R2 the distances to the limit points (0, 0, -alpha) and
+    (0, 0, +alpha), R1^2 - R2^2 = 4 alpha x3, so
+    xi = log(R1 / R2) = sign(x3) log1p(4 alpha |x3| / R^2) / 2 with R the
+    distance to the nearer limit point. The argument of log1p is
+    positive, so xi keeps its digits far from the spheres, where R1 ~ R2
+    and the difference of two logarithms would cancel. And
     (cos(theta), sin(theta)) = (rho^2 + x3^2 - alpha^2, 2 alpha rho) / (R1 R2),
     taken with atan2, which keeps theta's digits near the axis where an
-    acos of the cosine would lose half of them.
-    The limit points themselves have no preimage and are rejected.
+    acos of the cosine would lose half of them. Both are ratios of
+    lengths, so the lengths are first divided by the power of two nearest
+    above the largest of |x1|, |x2|, |x3| and alpha, which keeps every
+    square finite. Non-finite coordinates and the limit points, which
+    have no preimage, are rejected.
     """
     p = _as_cartesian(p)
-    al = frame.alpha
-    rho2 = p.x1 * p.x1 + p.x2 * p.x2
-    r1sq = rho2 + (p.x3 + al) ** 2
-    r2sq = rho2 + (p.x3 - al) ** 2
-    if r1sq == 0.0 or r2sq == 0.0:
+    if not all(math.isfinite(c) for c in (p.x1, p.x2, p.x3)):
+        raise ValueError(f"point ({p.x1}, {p.x2}, {p.x3}) is not finite")
+    scale = math.ldexp(1.0, -math.frexp(max(abs(p.x1), abs(p.x2), abs(p.x3), frame.alpha))[1])
+    x1, x2, x3, al = p.x1 * scale, p.x2 * scale, p.x3 * scale, frame.alpha * scale
+    rho2 = x1 * x1 + x2 * x2
+    near = rho2 + (abs(x3) - al) ** 2
+    if near == 0.0:
         raise ValueError("limit points (0, 0, +-alpha) have no bispherical image")
-    xi = 0.5 * (math.log(r1sq) - math.log(r2sq))
-    theta = math.atan2(2.0 * al * math.sqrt(rho2), rho2 + p.x3 * p.x3 - al * al)
+    xi = math.copysign(0.5 * math.log1p(4.0 * al * abs(x3) / near), x3)
+    theta = math.atan2(2.0 * al * math.sqrt(rho2), rho2 + x3 * x3 - al * al)
     phi = math.atan2(p.x2, p.x1) % _TWO_PI
     return BisphericalPoint(xi=xi, theta=theta, phi=phi)
 
@@ -163,12 +172,11 @@ def classify(frame: BisphericalFrame, p, rtol: float = 1e-12) -> str:
     REGION_BOUNDARY; boundary means within rtol * r_i of sphere i.
     """
     p = _as_cartesian(p)
-    rho2 = p.x1 * p.x1 + p.x2 * p.x2
     for center, radius, inside in (
         (frame.c1, frame.r1, REGION_INSIDE_D1),
         (frame.c2, frame.r2, REGION_INSIDE_D2),
     ):
-        dist = math.sqrt(rho2 + (p.x3 - center) ** 2)
+        dist = math.hypot(p.x1, p.x2, p.x3 - center)
         if abs(dist - radius) <= rtol * radius:
             return REGION_BOUNDARY
         if dist < radius:
@@ -179,9 +187,8 @@ def classify(frame: BisphericalFrame, p, rtol: float = 1e-12) -> str:
 def boundary_distance(frame: BisphericalFrame, p) -> float:
     """Signed distance to the nearest sphere surface (negative inside)."""
     p = _as_cartesian(p)
-    rho2 = p.x1 * p.x1 + p.x2 * p.x2
-    d1 = math.sqrt(rho2 + (p.x3 - frame.c1) ** 2) - frame.r1
-    d2 = math.sqrt(rho2 + (p.x3 - frame.c2) ** 2) - frame.r2
+    d1 = math.hypot(p.x1, p.x2, p.x3 - frame.c1) - frame.r1
+    d2 = math.hypot(p.x1, p.x2, p.x3 - frame.c2) - frame.r2
     return min(d1, d2)
 
 

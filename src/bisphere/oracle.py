@@ -3,7 +3,9 @@
 The image-charge iteration is classical electrostatics on the axis and
 shares no math with the series modules. The Legendre series sums the
 potentials degree by degree, the form the image-sum kernel of `fields`
-resums, and shares no code with it. The flux quadrature integrates the
+resums, and shares no code with it. Miller's recurrence gives the
+kernel's Euler-Maclaurin tail term by term, where `fields` uses a closed
+form. The flux quadrature integrates the
 normal derivative of the public field evaluator over a sphere, which
 checks the capacitance series through a completely different identity;
 the finite difference helpers certify analytic gradients and
@@ -24,6 +26,7 @@ from .fields import PotentialSeries, potential_field
 from .geometry import BisphericalFrame, ResonatorPair
 
 _FOUR_PI = 4.0 * math.pi
+_BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)  # B_2 ... B_8
 
 
 @dataclass(frozen=True)
@@ -151,6 +154,49 @@ def legendre_strip_sums(frame: BisphericalFrame, n_max: int, xi, theta, j: int):
     dt = sgn * m * (ea + eb) / denom
     leg, dleg = leg[:-1].T, dleg[:-1].T
     return (t * leg).sum(axis=1), (dt * leg).sum(axis=1), (t * dleg).sum(axis=1)
+
+
+def miller_em_tails(w, theta, h: float) -> np.ndarray:
+    """Euler-Maclaurin tails of G, dG/dw and sin(theta) G^3 by Miller's recurrence, stacked.
+
+    G(w) = (2 (cosh w - cos theta))^(-1/2). The tails of f = G and
+    f = sin(theta) G^3 are f(w) / 2 - sum_j B_2j / (2j)! h^(2j-1) f^(2j-1)(w),
+    j = 1 ... 4; the tail of dG/dw is the same for f = dG/dw plus its
+    integral over [w, oo) divided by h, -G(w) / h. The scaled Taylor
+    coefficients h^m f^(m)(w) / m! of the powers -1/2 and -3/2 of
+    F(w + h t) / F(w) = 1 + sum_m phi_m t^m, F = 2 (cosh w - cos theta),
+    phi_m = h^m / m! times 2 cosh(w) / F (m even) or 2 sinh(w) / F (m odd),
+    follow J. C. P. Miller's recurrence term by term. This is the image-sum
+    kernel's tail before `fields` wrote it in closed form.
+    """
+    w = np.asarray(w, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    # F = dd / e with e = e^{-w}; dd neither cancels nor overflows
+    e, em1 = np.exp(-w), np.expm1(-w)
+    dd = em1 * em1 + 4.0 * e * np.square(np.sin(0.5 * theta))
+    even, odd = (1.0 + e * e) / dd, -em1 * (1.0 + e) / dd
+    top = 2 * len(_BERNOULLI)
+    phi = [None] + [h**m / math.factorial(m) * (odd if m % 2 else even) for m in range(1, top + 1)]
+    g = np.sqrt(e / dd)
+    coeffs = []
+    for power, base, orders in ((-0.5, g, top), (-1.5, (np.sin(theta) * e / dd) * g, top - 1)):
+        y = [np.ones_like(w)]
+        for m in range(1, orders + 1):
+            total = 0.0
+            for k in range(1, m + 1):
+                total = total + ((power + 1.0) * k - m) * phi[k] * y[m - k]
+            y.append(total / m)
+        coeffs.append([base * c for c in y])
+
+    def tail(c):
+        out = 0.5 * c[0]
+        for j, b in enumerate(_BERNOULLI, start=1):
+            out = out - (b / (2 * j)) * c[2 * j - 1]
+        return out
+
+    c, c3 = coeffs
+    tail_d = tail([(m + 1) * c[m + 1] / h for m in range(top)]) - c[0] / h
+    return np.stack([tail(c), tail_d, tail(c3)])
 
 
 def flux_quadrature(

@@ -230,6 +230,37 @@ def test_field_interior_point_is_config_error(capsys):
     assert "inside resonator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("point", ["nan,0,0", "inf,0,0", "0,0,-inf"])
+def test_field_non_finite_point_is_config_error(point, capsys):
+    rc = run(["field", "--r1", "1", "--r2", "2", "--eps", "0.05", "--point", point])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"point {point} is not finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("point", ["1e200,0,0", "1e300,0,0", "0,0,-1e300", "1e200,1e200,1e200"])
+def test_field_at_a_far_point_is_finite(tmp_path, point):
+    out = tmp_path / "field.csv"
+    args = ["field", "--r1", "1", "--r2", "2", "--eps", "0.05", "--point", point]
+    assert run(args + ["--out", str(out)]) == 0
+    (row,) = _data_rows(_read(out))
+    assert all(math.isfinite(float(v)) for v in row)
+    # V_1 + V_2 ~ (C11 + C12 + C21 + C22) / (4 pi |x|) > 0 far away
+    assert float(row[3]) + float(row[4]) > 0.0
+
+
+def test_capacitance_with_a_loose_tol_sums_one_term(tmp_path):
+    # a tol above the tail bound of the whole series still sums one term
+    out = tmp_path / "cap.csv"
+    args = ["capacitance", "--r1", "1", "--r2", "1", "--eps", "0.05", "--tol", "1e3"]
+    assert run(args + ["--out", str(out)]) == 0
+    text = _read(out)
+    row = dict(zip(_header(text), _data_rows(text)[0]))
+    assert float(row["n_terms"]) == 1.0
+    assert float(row["c11"]) > 0.0 > float(row["c12"])
+
+
 def test_error_json_goes_to_stdout(capsys):
     rc = run(
         [

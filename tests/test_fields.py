@@ -27,17 +27,17 @@ from bisphere import (
     to_cartesian,
 )
 from bisphere.fields import (
-    _EM_ORDER,
     _GAUSS,
     _HEAD,
-    _em_tail,
+    _MONOMIALS,
+    _TAIL_WEIGHTS,
+    _em_tails,
     _image_sums,
     _kernel,
-    _parts,
     _surface_grad_max,
     potential_field,
 )
-from bisphere.oracle import legendre_strip_sums
+from bisphere.oracle import legendre_strip_sums, miller_em_tails
 
 
 def _thetas(n=200):
@@ -79,7 +79,7 @@ def test_image_kernel_matches_legendre_series(eps):
 
 
 def _image_sums_loop(frame, xi, theta):
-    """_image_sums as plain loops: one image, one Gauss node and one Taylor term at a time."""
+    """_image_sums as plain loops, one image and one Gauss node at a time, with Miller's tail."""
     s = frame.xi1 + frame.xi2
     h = 2.0 * s
     sh2, st = np.square(np.sin(0.5 * theta)), np.sin(theta)
@@ -97,23 +97,7 @@ def _image_sums_loop(frame, xi, theta):
         for node in (mid - t * half, mid + t * half):
             g, _, g3 = _kernel(node, sh2, st)
             int_g, int_g3 = int_g + weight * g, int_g3 + weight * g3
-    e, em1, dd = _parts(w, sh2)
-    even, odd = (1.0 + e * e) / dd, -em1 * (1.0 + e) / dd
-    top = 2 * _EM_ORDER
-    phi = [None] + [h**m / math.factorial(m) * (odd if m % 2 else even) for m in range(1, top + 1)]
-    g = np.sqrt(e / dd)
-    taylor = []
-    for power, base, orders in ((-0.5, g, top), (-1.5, (st * e / dd) * g, top - 1)):
-        y = [np.ones_like(w)]
-        for m in range(1, orders + 1):
-            total = 0.0
-            for k in range(1, m + 1):
-                total = total + ((power + 1.0) * k - m) * phi[k] * y[m - k]
-            y.append(total / m)
-        taylor.append([base * c for c in y])
-    c, c3 = taylor
-    tail_d = _em_tail([(m + 1) * c[m + 1] / h for m in range(len(c) - 1)]) - c[0] / h
-    tail, tail_3 = _em_tail(c), _em_tail(c3)
+    tail, tail_d, tail_3 = miller_em_tails(w, theta, h)
     val += half / h * int_g + (tail[0::2] - tail[1::2])
     dxi += tail_d[0::2] + tail_d[1::2]
     mdth += half / h * int_g3 + (tail_3[0::2] - tail_3[1::2])
@@ -123,9 +107,12 @@ def _image_sums_loop(frame, xi, theta):
 
 @pytest.mark.parametrize("eps", [0.05, 1e-6, 1e-300])
 def test_image_sums_equal_a_plain_loop_at_every_batch_size(eps):
-    # the stacked kernel must keep the loop's arithmetic and order exactly,
-    # so that a point's sums do not depend on its batch; the sizes straddle
-    # every change in the number of images and Taylor terms per stacked call
+    # a point's sums must be the same bits in every batch: the sizes straddle
+    # every change in the number of head images per stacked call and the
+    # switch from stacked to looped sums at 64 points. Against Miller's
+    # recurrence for the tail, the closed form moved V by <= 4.4e-16 and
+    # alpha |grad V| by <= 7.6e-16 of itself (radii (1,2), (1,1), (0.5,3),
+    # eps 30 ... 1e-300), so the plain loop must agree to 1e-15
     frame = frame_from_pair(ResonatorPair(1.0, 2.0, eps))
     rng = np.random.default_rng(11)
     n = 1100
@@ -135,14 +122,137 @@ def test_image_sums_equal_a_plain_loop_at_every_batch_size(eps):
     theta[:60] = rng.choice([0.0, math.pi, 1e-9, math.pi - 1e-9], 60)  # poles, axis
     order = rng.permutation(n)
     xi, theta = xi[order], theta[order]
-    want = np.stack(_image_sums_loop(frame, xi, theta))
-    assert np.all(np.isfinite(want))
-    for size in (1, 2, 7, 8, 9, 31, 32, 33, 64, 65, 255, 256, 257, 800, 1024, 1025, n):
+    got = np.stack(_image_sums(frame, xi, theta))
+    assert np.all(np.isfinite(got))
+    for size in (1, 2, 7, 8, 9, 31, 32, 33, 63, 64, 65, 66, 255, 256, 257, 800, 1024, 1025):
         np.testing.assert_array_equal(np.stack(_image_sums(frame, xi[:size], theta[:size])),
-                                      want[..., :size])
+                                      got[..., :size])
     for i in range(n):
         np.testing.assert_array_equal(np.stack(_image_sums(frame, xi[i:i + 1], theta[i:i + 1])),
-                                      want[..., i:i + 1])
+                                      got[..., i:i + 1])
+    want = np.stack(_image_sums_loop(frame, xi, theta))
+    d = 2.0 * (np.sinh(0.5 * xi) ** 2 + np.sin(0.5 * theta) ** 2)
+    root = np.sqrt(2.0 * d)  # V_j = root * S_j
+    ds = got - want
+    assert np.max(root * np.abs(ds[0])) <= 1e-15
+    # alpha |grad V| = d |(dV/dxi, dV/dtheta)|
+    rows = ((1, np.sinh(xi)), (2, np.sin(theta)))
+    f_xi, f_th = (root * ds[k] + c / root * ds[0] for k, c in rows)
+    w_xi, w_th = (root * want[k] + c / root * want[0] for k, c in rows)
+    assert np.all(np.hypot(f_xi, f_th) <= 1e-15 * np.hypot(w_xi, w_th))
+
+
+def _tail_weights_from_millers_recurrence():
+    """The tail weights of fields._TAIL_WEIGHTS rebuilt from exact Fractions.
+
+    A polynomial is a dict {(i, j, k): c} for c X^i Y^j h^k. phi_m is
+    X h^(m-2) / m! for even m and Y h^(m-1) / m! for odd m, and Miller's
+    recurrence y_m = sum_k ((p + 1) k - m) phi_k y_(m-k) / m gives the
+    scaled Taylor coefficients of F^p, p = -1/2 and -3/2. Returns one
+    {(i, j): (c_0, c_1, ...)} per tail, with c_n the coefficient of h^(2n).
+    """
+    from fractions import Fraction
+
+    bernoulli = (Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30))
+    top = 2 * len(bernoulli)
+
+    def add(a, b, scale):
+        out = dict(a)
+        for key, c in b.items():
+            out[key] = out.get(key, 0) + scale * c
+        return out
+
+    def mul(a, b):
+        out = {}
+        for (i1, j1, k1), c1 in a.items():
+            for (i2, j2, k2), c2 in b.items():
+                key = (i1 + i2, j1 + j2, k1 + k2)
+                out[key] = out.get(key, 0) + c1 * c2
+        return out
+
+    phi = [None] + [
+        {(0, 1, m - 1) if m % 2 else (1, 0, m - 2): Fraction(1, math.factorial(m))}
+        for m in range(1, top + 1)
+    ]
+
+    def taylor(power, orders):
+        y = [{(0, 0, 0): Fraction(1)}]
+        for m in range(1, orders + 1):
+            acc = {}
+            for k in range(1, m + 1):
+                acc = add(acc, mul(phi[k], y[m - k]), Fraction((power + 1) * k - m) / m)
+            y.append(acc)
+        return y
+
+    def em(c):
+        out = add({}, c[0], Fraction(1, 2))
+        for j, b in enumerate(bernoulli, start=1):
+            out = add(out, c[2 * j - 1], -b / (2 * j))
+        return out
+
+    c = taylor(Fraction(-1, 2), top)
+    # h times the dG/dw tail: c_1 / 2 - c_0 - sum_j B_2j c_2j
+    tail_d = add(add({}, c[1], Fraction(1, 2)), c[0], -1)
+    for j, b in enumerate(bernoulli, start=1):
+        tail_d = add(tail_d, c[2 * j], -b)
+    tables = []
+    for poly in (em(c), tail_d, em(taylor(Fraction(-3, 2), top - 1))):
+        table = {}
+        for (i, j, k), coef in poly.items():
+            if coef:
+                assert k % 2 == 0
+                row = table.setdefault((i, j), [])
+                row.extend([Fraction(0)] * (k // 2 + 1 - len(row)))
+                row[k // 2] = coef
+        tables.append(table)
+    return tables
+
+
+def test_tail_weights_are_the_exact_rationals():
+    # the literals in fields are the recurrence's rationals rounded once
+    want = _tail_weights_from_millers_recurrence()
+    assert len(_MONOMIALS) == 25
+    for table, exact in zip(_TAIL_WEIGHTS, want):
+        assert set(table) == set(exact)
+        assert set(table) <= set(_MONOMIALS)
+        for mono, coefs in exact.items():
+            assert list(table[mono]) == [float(c) for c in coefs], mono
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-6])
+@pytest.mark.parametrize("theta", [1e-3, 1.0, math.pi])
+def test_em_tails_against_mpmath_taylor(eps, theta):
+    # the three tails from 40-digit Taylor coefficients of G at the tail starts
+    frame = frame_from_pair(ResonatorPair(1.0, 2.0, eps))
+    s = frame.xi1 + frame.xi2
+    h = 2.0 * s
+    xi = np.array([-frame.xi1, 0.3 * frame.xi2, frame.xi2])
+    w = np.stack([2.0 * frame.xi1 + xi, 2.0 * s - xi, 2.0 * frame.xi2 - xi, 2.0 * s + xi])
+    w = w + _HEAD * h
+    th = np.full(xi.size, theta)
+    got = _em_tails(w, np.square(np.sin(0.5 * th)), np.sin(th), h)
+    worst = 0.0
+    with mpmath.workdps(40):
+        bernoulli = [mpmath.bernoulli(2 * j) for j in range(1, 5)]
+        ct, st_, hh = mpmath.cos(theta), mpmath.sin(theta), mpmath.mpf(h)
+        for idx, w0 in np.ndenumerate(w):
+            # chop=False: mpmath.taylor rounds tiny coefficients to 0 by default
+            w0 = mpmath.mpf(float(w0))
+            c = mpmath.taylor(lambda v: (2 * (mpmath.cosh(v) - ct)) ** -0.5, w0, 9, chop=False)
+            c3 = mpmath.taylor(lambda v: st_ * (2 * (mpmath.cosh(v) - ct)) ** -1.5, w0, 8,
+                               chop=False)
+            # c_m = f^(m)(w) / m!, so B_2j / (2j)! h^(2j-1) f^(2j-1) = B_2j / (2j) h^(2j-1) c_(2j-1)
+            tail = c[0] / 2 - sum(b / (2 * j) * hh ** (2 * j - 1) * c[2 * j - 1]
+                                  for j, b in enumerate(bernoulli, start=1))
+            tail_3 = c3[0] / 2 - sum(b / (2 * j) * hh ** (2 * j - 1) * c3[2 * j - 1]
+                                     for j, b in enumerate(bernoulli, start=1))
+            # f = dG/dw has f^(2j-1) / (2j)! = c_(2j) and the integral -G(w) / h
+            tail_d = c[1] / 2 - c[0] / hh - sum(b * hh ** (2 * j - 1) * c[2 * j]
+                                                for j, b in enumerate(bernoulli, start=1))
+            for row, want in enumerate((tail, tail_d, tail_3)):
+                err = abs(got[row][idx] - float(want))
+                worst = max(worst, err / abs(float(want)))
+    assert worst <= 2e-15
 
 
 def test_boundary_traces(frame_12, series_12):
@@ -173,6 +283,25 @@ def test_interior_point_rejected(frame_12, series_12):
     inside1 = BisphericalPoint(-frame_12.xi1 - 0.05, 1.0, 0.0)
     with pytest.raises(ValueError, match="inside resonator 1"):
         eval_potential(series_12, 1, inside1)
+
+
+def test_potential_field_rejects_bad_inputs(frame_12, series_12):
+    xi, theta, phi = [0.0, 0.05], [1.0, 2.0], [0.0, 1.0]
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="xi holds a non-finite"):
+            potential_field(series_12, [0.0, bad], theta)
+        with pytest.raises(ValueError, match="theta holds a non-finite"):
+            potential_field(series_12, xi, [bad, 1.0])
+        with pytest.raises(ValueError, match="phi holds a non-finite"):
+            potential_field(series_12, xi, theta, [0.0, bad])
+    with pytest.raises(ValueError, match="theta has shape"):
+        potential_field(series_12, xi, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="theta has shape"):
+        potential_field(series_12, xi, [1.0])
+    # one azimuth is not reused for every point
+    with pytest.raises(ValueError, match="phi has shape"):
+        potential_field(series_12, xi, theta, [0.0])
+    assert potential_field(series_12, xi, theta, phi).grad.shape == (2, 3, 2)
 
 
 def test_far_field_charge(frame_12, series_12, cap_12):
@@ -353,20 +482,23 @@ def test_gap_axis_gradient_meets_its_bound_against_kelvin_images(eps):
 
 def test_far_gradient_near_the_axis_against_kelvin_images():
     # far points near the x3 axis have small xi and theta, where
-    # 1 - cosh(xi) cos(theta) cancels unless formed in half-angle form, and
-    # theta loses digits unless taken from its sine as well as its cosine
+    # 1 - cosh(xi) cos(theta) cancels unless formed in half-angle form,
+    # theta loses digits unless taken from its sine as well as its cosine,
+    # and xi as a difference of two logarithms (1e-12 of the gradient at
+    # x3 = 600, 2e-11 at 1e5) unless taken from a log1p
     pair = ResonatorPair(1.0, 2.0, 0.05)
     frame = frame_from_pair(pair)
     tol = 1e-10
     ps = potential_series(frame, tol=tol)
-    for x in ((0.01, 0.0, 6.0), (0.01, 0.0, -6.0), (0.0, 1e-3, 60.0), (1e-3, 0.0, -600.0)):
+    for x in ((0.01, 0.0, 6.0), (0.01, 0.0, -6.0), (0.0, 1e-3, 60.0), (1e-3, 0.0, -600.0),
+              (0.0, 1e-3, 600.0), (0.0, 1e-3, 1e5)):
         b = to_bispherical(frame, CartesianPoint(*x))
         for j in (1, 2):
             want = _kelvin_grad_v(1.0, 2.0, 0.05, j, x)
             got = eval_grad_potential(ps, j, b)
             err = frame.alpha * np.linalg.norm(got - want)
             assert err <= tol, f"x = {x}, V_{j}: alpha * error {err:.2e}"
-            assert np.linalg.norm(got - want) <= 1e-11 * np.linalg.norm(want)
+            assert np.linalg.norm(got - want) <= 3e-15 * np.linalg.norm(want)
 
 
 def test_gradient_has_no_azimuthal_component(frame_12, series_12, spectral_12):

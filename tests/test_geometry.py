@@ -125,6 +125,37 @@ def test_origin_maps_to_gap_center(frame_12):
     assert b.theta == pytest.approx(math.pi, abs=1e-12)
 
 
+@pytest.mark.parametrize("x3", [6.0, 60.0, 600.0, 1e4, 1e6, 1e8, -6.0, -600.0, -1e8])
+def test_far_xi_against_mpmath(frame_12, x3):
+    # far from the spheres R1 ~ R2, where log R1^2 - log R2^2 would cancel
+    x = (0.0, 1e-3, x3)
+    b = to_bispherical(frame_12, CartesianPoint(*x))
+    with mpmath.workdps(40):
+        al = mpmath.mpf(frame_12.alpha)
+        x1, x2, z = (mpmath.mpf(c) for c in x)
+        want = mpmath.log((x1**2 + x2**2 + (z + al) ** 2) / (x1**2 + x2**2 + (z - al) ** 2)) / 2
+        assert abs(b.xi - want) <= 1e-14 * abs(want)
+
+
+@pytest.mark.parametrize("big", [1e200, 1e300])
+def test_huge_points_have_finite_coordinates(frame_12, big):
+    for x in ((big, 0.0, 0.0), (0.0, 0.0, -big), (big, -big, big)):
+        b = to_bispherical(frame_12, CartesianPoint(*x))
+        assert all(math.isfinite(c) for c in (b.xi, b.theta, b.phi))
+        # xi ~ 2 alpha x3 / |x|^2 and theta ~ 2 alpha rho / |x|^2
+        r2 = (x[0] / big) ** 2 + (x[1] / big) ** 2 + (x[2] / big) ** 2
+        assert b.xi == pytest.approx(2.0 * frame_12.alpha * x[2] / big / r2 / big, rel=1e-12)
+        rho = math.hypot(x[0], x[1]) / big
+        assert b.theta == pytest.approx(2.0 * frame_12.alpha * rho / r2 / big, rel=1e-12)
+    assert classify(frame_12, CartesianPoint(0.0, 0.0, big)) == REGION_EXTERIOR
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_to_bispherical_rejects_non_finite_points(frame_12, bad):
+    with pytest.raises(ValueError, match="not finite"):
+        to_bispherical(frame_12, CartesianPoint(0.0, bad, 1.0))
+
+
 def test_to_cartesian_rejects_degenerate_point(frame_12):
     with pytest.raises(ValueError):
         to_cartesian(frame_12, BisphericalPoint(0.0, 0.0, 0.0))
