@@ -1,21 +1,19 @@
-"""Capacitance matrix of the sphere pair: exact series and asymptotics.
+"""Capacitance matrix of the sphere pair: exact sums and asymptotics.
 
 Conventions follow the boundary-charge definition with the 4*pi factor
 kept inside, so an isolated sphere of radius r has capacitance 4*pi*r.
-The exact coefficients are
+The exact coefficients are the bispherical series
 
     C11 = 8 pi alpha sum_n exp((2n+1) xi2) / (exp((2n+1)(xi1+xi2)) - 1)
     C12 = C21 = -8 pi alpha sum_n 1 / (exp((2n+1)(xi1+xi2)) - 1)
 
-summed over n >= 0, with C22 obtained by swapping xi1 and xi2. All
-series are evaluated in the overflow-safe form with only negative
-exponents, truncated with a certified geometric tail bound.
-
-A term costs multiplications, not exponentials. With x = 2n + 1 = x0 + 2j,
-exp(-x xi) = exp(-x0 xi) exp(-2j xi), so the factors exp(-2j xi1),
-exp(-2j xi2), exp(-2j s) and expm1(-2j s) are tabulated once per call
-for j < _CHUNK, and each chunk of _CHUNK terms rescales them by one
-scalar exp(-x0 xi).
+over n >= 0, with C22 obtained by swapping xi1 and xi2. They need
+O(1/sqrt(eps)) terms, so they are summed over images instead: expanding
+1 / (1 - e^{-(2n+1) s}) in k gives, with s = xi1 + xi2 and h = 2 s,
+C11 = 8 pi alpha sum_{k>=0} G0(2 xi1 + k h) and C12 = -8 pi alpha
+sum_{k>=1} G0(k h), where G0(w) = 1 / (2 sinh(w/2)) is the field kernel
+of `fields` at theta = 0, summed by the same Euler-Maclaurin engine at a
+cost that does not depend on the gap.
 """
 
 from __future__ import annotations
@@ -28,10 +26,9 @@ import numpy as np
 
 from .errors import TruncationCapError
 from .geometry import BisphericalFrame, ResonatorPair, frame_from_pair
-from .specfun import GAMMA_EULER, digamma, digamma_series_tail
+from .specfun import _HEAD, GAMMA_EULER, _em_remainder, _em_tails, _kernel, digamma
+from .specfun import digamma_series_tail
 
-# terms per chunk; a call holds seven float arrays of this length (896 KiB)
-_CHUNK = 1 << 14
 DEFAULT_TERM_CAP = 100_000_000
 
 
@@ -85,80 +82,72 @@ class SigmaTerms:
     sigma2: float
 
 
-def _series_sums(
-    alpha: float, xi1: float, xi2: float, tol: float, cap: int
-) -> tuple[float, float, float, int, float]:
-    """Shared series evaluation; returns (S11, S22, S12, n_terms, tail_bound).
+def _series_terms(alpha: float, xi1: float, xi2: float, tol: float, cap: int) -> int:
+    """Terms (at least one) that the n-series' certified geometric tail needs for tol.
 
-    Terms are exp(-x xi_i) / (1 - exp(-x s)) with x = 2n + 1, so no
-    intermediate can overflow. The terms of a chunk starting at x0 are
-    exp(-x0 xi_i) * exp(-2j xi_i) * r_j with j = 0, 1, ..., where
-    1/r_j = 1 - exp(-(x0 + 2j) s) = -(ea + em_j (1 + ea)), ea = expm1(-x0 s)
-    and em_j = expm1(-2j s): expm1(a + b) = expm1(a) + expm1(b)(1 + expm1(a))
-    adds two negative numbers, so it never cancels, and one formula serves
-    every chunk. The exp(-2j xi) and expm1(-2j s) tables are built once per
-    call; a chunk costs one reciprocal and three multiply-and-sums over
-    them, and one scalar exp(-x0 xi) per series. Table entries that
-    underflow belong to terms that underflow too. Chunks are summed
-    pairwise by numpy (multiply, then sum; not a BLAS dot, whose threads
-    cost more than the sum on a short vector) and the chunk totals are
-    combined with math.fsum.
+    Every term left out of every series is below the n-th term of a
+    geometric series with ratio exp(-2a), a = min(xi1, xi2), and the
+    1/(1 - e^{-s}) factor bounds the denominators. Above cap, raises
+    TruncationCapError.
     """
-    s = xi1 + xi2
-    pref = 8.0 * math.pi * alpha
     a = min(xi1, xi2)
-    denom0 = -math.expm1(-s)
-
-    def tail(n_next: int) -> float:
-        # every remaining term of every series is below the n-th term of a
-        # geometric series with ratio exp(-2a); the 1/(1-e^{-s}) factor
-        # bounds the denominators
-        top = math.exp(-(2 * n_next + 1) * a)
-        return pref * top / (denom0 * -math.expm1(-2.0 * a))
-
-    # smallest n >= 1 with certified tail below tol: a sum of no terms
-    # would be no capacitance at all, however loose tol is
+    pref = 8.0 * math.pi * alpha
+    tail0 = pref * math.exp(-a) / (-math.expm1(-(xi1 + xi2)) * -math.expm1(-2.0 * a))
     n_needed = 1
-    if tail(0) > tol:
-        n_needed = int(math.ceil((math.log(tail(0) / tol)) / (2.0 * a))) + 1
+    if tail0 > tol:
+        n_needed = int(math.ceil(math.log(tail0 / tol) / (2.0 * a))) + 1
     if n_needed > cap:
         raise TruncationCapError(
             f"capacitance series needs ~{n_needed} terms for tol={tol:g}, "
             f"cap is {cap}"
         )
+    return n_needed
 
-    j2 = -2.0 * np.arange(min(_CHUNK, n_needed), dtype=float)
-    rates = (xi1, xi2, s)
-    tables = [np.exp(j2 * rate) for rate in rates]
-    em = np.expm1(j2 * s)
-    r = np.empty_like(j2)
-    prod = np.empty_like(j2)
-    sums: tuple[list[float], ...] = ([], [], [])
-    for start in range(0, n_needed, _CHUNK):
-        m = min(_CHUNK, n_needed - start)
-        x0 = 2.0 * start + 1.0
-        ea = math.expm1(-x0 * s)
-        rm = r[:m]
-        np.multiply(em[:m], -(1.0 + ea), out=rm)
-        rm -= ea
-        np.divide(1.0, rm, out=rm)
-        for rate, table, total in zip(rates, tables, sums):
-            np.multiply(table[:m], rm, out=prod[:m])
-            total.append(math.exp(-x0 * rate) * float(prod[:m].sum()))
-    s11, s22, s12 = (math.fsum(total) for total in sums)
-    return s11, s22, s12, n_needed, tail(n_needed)
+
+def _image_sums(xi1: float, xi2: float) -> list[float]:
+    """S11, S22 and S12: the sums over k >= 0 of G0(w + k h), w = 2 xi1, 2 xi2 and h.
+
+    _HEAD terms from the kernel, then the integral of G0 from the tail
+    start W, -log tanh(W / 4) = log1p(2 q / (1 - q)) with q = e^{-W/2},
+    divided by h, and the Bernoulli corrections; added exactly rounded.
+    """
+    h = 2.0 * (xi1 + xi2)
+    w = np.array([[2.0 * xi1], [2.0 * xi2], [h]])
+    start = w + _HEAD * h
+    with np.errstate(over="ignore"):  # the unused derivative rows overflow below w ~ 1e-154
+        head = _kernel(w + (np.arange(_HEAD) * h)[:, None, None], 0.0, 0.0)[:, 0, :, 0]
+        tails = _em_tails(start, 0.0, 0.0, h)[0, :, 0]
+    sums = []
+    for terms, t, tail in zip(head.T.tolist(), start[:, 0].tolist(), tails.tolist()):
+        integral = math.log1p(2.0 * math.exp(-0.5 * t) / -math.expm1(-0.5 * t))
+        sums.append(math.fsum([*terms, integral / h, tail]))
+    return sums
 
 
 def capacitance_exact(
     frame: BisphericalFrame, tol: float = 1e-12, cap: int = DEFAULT_TERM_CAP
 ) -> CapacitanceMatrix:
-    """Exact capacitance matrix to absolute truncation tolerance tol."""
+    """Exact capacitance matrix; a tol below its certified remainder raises ValueError.
+
+    n_terms counts the n-series terms that tol implies (above cap,
+    TruncationCapError); the image sums do not depend on it. tail_bound,
+    8 pi alpha times the first omitted Bernoulli correction at the nearest
+    tail start, bounds the remainder of every entry (specfun._em_remainder).
+    """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    s11, s22, s12, n_terms, tail_bound = _series_sums(
-        frame.alpha, frame.xi1, frame.xi2, tol, cap
-    )
+    xi1, xi2 = frame.xi1, frame.xi2
+    n_terms = _series_terms(frame.alpha, xi1, xi2, tol, cap)
     pref = 8.0 * math.pi * frame.alpha
+    h = 2.0 * (xi1 + xi2)
+    w = 2.0 * min(xi1, xi2) + _HEAD * h
+    g0 = math.exp(-0.5 * w) / -math.expm1(-w)
+    tail_bound = pref * g0 * _em_remainder(h, w)
+    if tail_bound > tol:
+        raise ValueError(
+            f"tolerance {tol:g} is below the capacitance sums' remainder {tail_bound:.1e}"
+        )
+    s11, s22, s12 = _image_sums(xi1, xi2)
     c12 = -pref * s12
     return CapacitanceMatrix(
         c11=pref * s11,

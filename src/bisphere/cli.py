@@ -318,11 +318,12 @@ def _resonance_row(
 ) -> list[float]:
     """One regime-sweep row.
 
-    The exact route needs the gap to be representable as a float AND a
-    series budget of roughly 1/sqrt(eps) terms; regime gaps shrink like
-    exp(-1/delta^(1-beta)), so past a modest contrast the exact columns
-    go NaN and only the closed form remains. That is the point of the
-    sweep: the closed form keeps working where brute force cannot.
+    The exact route needs the gap to be representable as a float AND an
+    n-series count (roughly 1/sqrt(eps) terms) within the capacitance cap;
+    regime gaps shrink like exp(-1/delta^(1-beta)), so past a modest
+    contrast the exact columns go NaN and only the closed form remains.
+    That is the point of the sweep: the closed form keeps working where
+    the exact route is refused.
     """
     m = Material(rho=1.0, rho_b=delta, kappa=1.0, kappa_b=delta)
     log_eps = log_epsilon_from_regime(delta, beta, c0)

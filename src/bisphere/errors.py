@@ -2,7 +2,10 @@
 
 
 class TruncationCapError(RuntimeError):
-    """A series would need more terms than the configured cap to meet tol."""
+    """The bispherical n-series would need more terms than the cap to meet tol.
+
+    capacitance_exact sums over images instead, but still refuses such gaps.
+    """
 
 
 class QuadratureConvergenceError(RuntimeError):

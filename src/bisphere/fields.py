@@ -23,7 +23,9 @@ Euler-Maclaurin (DLMF 2.10.1): the integral over [p, q] shifted by
 closed form. The scaled Taylor coefficients of G are fixed polynomials
 in two bounded ratios X and Y, so each correction sum is one pass of
 fixed rational weights over the 25 monomials X^i Y^j with 2i + j <= 8
-(_em_tails). The cost is the same at every gap.
+(_em_tails). The kernel and its tail live in `specfun`, since the
+capacitance sums are the same image sums at theta = 0. The cost is the
+same at every gap.
 A small batch (at most _SMALL points) sends all head images, and every
 batch all Gauss nodes, through each numpy call as one stacked array and
 adds stacked terms with one accumulate, so that a single point does not
@@ -38,7 +40,6 @@ eigenvector ratio d_n.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -46,74 +47,11 @@ import numpy as np
 
 from .capacitance import RescaledCapacitance, SigmaTerms
 from .geometry import BisphericalFrame, BisphericalPoint
+from .specfun import _HEAD, _SMALL, _STACK, _em_remainder, _em_tails, _in_order, _kernel
+from .specfun import _MONOMIALS, _TAIL_WEIGHTS  # noqa: F401 - the kernel's tables, for its tests
 from .spectra import SpectralPair
 
 _SQRT2 = math.sqrt(2.0)
-_HEAD = 32  # image terms summed directly
-# head images x points per stacked numpy call; of 1024, 2048 and 4096,
-# 2048 gave the fastest potential_field from 8 to 800 points and was
-# within 5 % of the best at 1 and 1600 points
-_STACK = 2048
-_EM_ORDER = 4  # Bernoulli corrections in the tail, B_2 ... B_8
-_B_NEXT = 5.0 / 66.0  # B_10, of the first omitted correction
-_SMALL = _STACK // _HEAD  # a batch of at most this many points stacks everything
-# the tails' monomials X^i Y^j, 2 i + j <= 2 _EM_ORDER, by degree 2 i + j
-_MONOMIALS = tuple((i, n - 2 * i) for n in range(2 * _EM_ORDER + 1) for i in range(n // 2 + 1))
-_MONO_I = [i for i, _ in _MONOMIALS]
-_MONO_J = [j for _, j in _MONOMIALS]
-# Tail weights W_m(h) = c_0 + c_1 h^2 + c_2 h^4 + ... of the monomials m = (i, j)
-# (absent ones weigh 0) in the tails of G, h dG/dw and sin(theta) G^3: exact
-# rationals, which a test rebuilds from Miller's recurrence
-_TAIL_WEIGHTS = (
-    {  # G
-        (0, 0): (1 / 2,),
-        (0, 1): (1 / 24, -1 / 1440, 1 / 60480, -1 / 2419200),
-        (0, 3): (-1 / 384, 5 / 8064, -13 / 92160),
-        (1, 1): (1 / 320, -1 / 2688, 1 / 25600),
-        (0, 5): (1 / 1024, -7 / 8192),
-        (1, 3): (-5 / 2304, 49 / 36864),
-        (2, 1): (5 / 5376, -1 / 3072),
-        (0, 7): (-143 / 163840,),
-        (1, 5): (231 / 81920,),
-        (2, 3): (-21 / 8192,),
-        (3, 1): (7 / 12288,),
-    },
-    {  # h dG/dw
-        (0, 0): (-1.0,),
-        (0, 1): (-1 / 4,),
-        (0, 2): (-1 / 16, 1 / 240, -1 / 2520, 1 / 25200),
-        (1, 0): (1 / 24, -1 / 1440, 1 / 60480, -1 / 2419200),
-        (0, 4): (7 / 768, -5 / 1152, 7 / 3840),
-        (1, 2): (-1 / 64, 25 / 5376, -3 / 2560),
-        (2, 0): (1 / 320, -1 / 2688, 1 / 25600),
-        (0, 6): (-11 / 2048, 77 / 10240),
-        (1, 4): (15 / 1024, -63 / 4096),
-        (2, 2): (-5 / 512, 7 / 1024),
-        (3, 0): (5 / 5376, -1 / 3072),
-        (0, 8): (429 / 65536,),
-        (1, 6): (-1001 / 40960,),
-        (2, 4): (231 / 8192,),
-        (3, 2): (-21 / 2048,),
-        (4, 0): (7 / 12288,),
-    },
-    {  # sin(theta) G^3
-        (0, 0): (1 / 2,),
-        (0, 1): (1 / 8, -1 / 480, 1 / 20160, -1 / 806400),
-        (0, 3): (-7 / 384, 5 / 1152, -91 / 92160),
-        (1, 1): (1 / 64, -5 / 2688, 1 / 5120),
-        (0, 5): (11 / 1024, -77 / 8192),
-        (1, 3): (-5 / 256, 49 / 4096),
-        (2, 1): (5 / 768, -7 / 3072),
-        (0, 7): (-429 / 32768,),
-        (1, 5): (3003 / 81920,),
-        (2, 3): (-231 / 8192,),
-        (3, 1): (21 / 4096,),
-    },
-)
-# for each monomial, the tails that weigh it
-_MONO_TAILS = tuple(
-    tuple(t for t, table in enumerate(_TAIL_WEIGHTS) if mono in table) for mono in _MONOMIALS
-)
 # 4-point Gauss-Legendre rule on [-1, 1]: (node t, weight) for nodes -t and t
 _GAUSS = ((0.8611363115940526, 0.34785484513745357), (0.33998104358485626, 0.6521451548625464))
 _GAUSS_NODES = np.array([sign * t for t, _ in _GAUSS for sign in (-1.0, 1.0)])[:, None, None]
@@ -206,129 +144,22 @@ class BlowupStudy:
 def potential_series(frame: BisphericalFrame, tol: float = 1e-10) -> PotentialSeries:
     """The image-sum kernel for frame; tol must not be below its remainder estimate.
 
-    The estimate is the first omitted Bernoulli correction,
-    2 |B_10| / 10 * (2 s / w)^9 at the nearest tail start
-    w = min(xi1, xi2) + 2 K s. G's poles sit on the imaginary axis, so its
-    scaled Taylor coefficients (2 s)^m G^(m)(w) / m! fall like (2 s / w)^m,
-    and sqrt(2 d) G <= 1 on the strip; 2 s / w < 1/K at every gap.
+    Each tail leaves out its first omitted Bernoulli correction. Relative
+    to G at the tail start, it is estimated by that of the theta = 0
+    kernel G0 (specfun._em_remainder) at the nearest start
+    w = min(xi1, xi2) + K h, h = 2 s: the branch points of G sit at
+    +-i theta (mod 2 pi i), no nearer to a real w than the pole of G0 at 0.
+    Two tails enter each V_j, and sqrt(2 d) G <= min(1, 2 e^{-K h / 2})
+    at the tail starts.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    s = frame.xi1 + frame.xi2
-    ratio = 2.0 * s / (min(frame.xi1, frame.xi2) + 2.0 * _HEAD * s)
-    order = 2 * _EM_ORDER + 1
-    bound = 2.0 * _B_NEXT / (order + 1) * ratio**order
+    h = 2.0 * (frame.xi1 + frame.xi2)
+    w = min(frame.xi1, frame.xi2) + _HEAD * h
+    bound = 2.0 * _em_remainder(h, w) * min(1.0, 2.0 * math.exp(-0.5 * _HEAD * h))
     if bound > tol:
         raise ValueError(f"tolerance {tol:g} is below the field kernel's remainder {bound:.1e}")
     return PotentialSeries(frame=frame, n_max=_HEAD, tol=tol, tail_bound=bound)
-
-
-def _parts(w: np.ndarray, sh2: np.ndarray):
-    """e = e^{-w}, e - 1 and D, with 2 (cosh w - cos theta) = D / e.
-
-    D = (1 - e)^2 + 4 e sin^2(theta / 2) neither cancels for small w and
-    theta nor overflows for large w.
-    """
-    e = np.exp(-w)
-    em1 = np.expm1(-w)
-    return e, em1, em1 * em1 + 4.0 * e * sh2
-
-
-def _kernel(w: np.ndarray, sh2: np.ndarray, st: np.ndarray) -> np.ndarray:
-    """G, dG/dw = -sinh(w) G^3 and -dG/dtheta = sin(theta) G^3 at w.
-
-    For w of shape (..., R, N) the result has shape (..., 3, R, N).
-    Each derivative scales G by one ratio, so G^3, which overflows once
-    w and theta are both below ~1e-103, is never formed.
-    """
-    e, em1, dd = _parts(w, sh2)
-    out = np.empty((*w.shape[:-2], 3, *w.shape[-2:]))
-    g = np.sqrt(e / dd, out=out[..., 0, :, :])
-    np.multiply((0.5 * em1 * (1.0 + e) / dd), g, out=out[..., 1, :, :])
-    np.multiply((st * e / dd), g, out=out[..., 2, :, :])
-    return out
-
-
-def _in_order(op: np.ufunc, a: np.ndarray) -> np.ndarray:
-    """a[k] = op(a[k - 1], a[k]) for k = 1, 2, ... in turn; returns a[-1].
-
-    A small batch (at most _SMALL points on the last axis) takes one
-    op.accumulate, a large one a loop, whose contiguous rows run faster
-    than the accumulate's strided walk down axis 0. Either way every row
-    is one operation on the row before, so a point's values do not
-    depend on its batch; np.sum would not do, since it may switch to
-    pairwise summation (it does when the summed axis ends up innermost,
-    as for a single point).
-    """
-    if a.shape[-1] <= _SMALL:
-        op.accumulate(a, axis=0, out=a)
-    else:
-        for k in range(1, len(a)):
-            op(a[k - 1], a[k], out=a[k])
-    return a[-1]
-
-
-def _em_tails(w: np.ndarray, sh2: np.ndarray, st: np.ndarray, h: float) -> np.ndarray:
-    """Euler-Maclaurin tails of G, dG/dw and sin(theta) G^3 at the tail start w, stacked.
-
-    Each is f(w) / 2 - sum_j B_2j / (2j)! h^(2j-1) f^(2j-1)(w), the sum
-    over k >= 0 of f(w + k h) less the integral over [w, oo) divided by
-    h, from scaled Taylor coefficients of f; for dG/dw the integral,
-    -G(w) / h, is part of it. With F = 2 (cosh w - cos theta),
-    F(w + h t) / F(w) = 1 + E (cosh ht - 1) + O sinh ht, E = 2 cosh(w) / F
-    and O = 2 sinh(w) / F, so every scaled coefficient of F^(-1/2) and
-    F^(-3/2) is a fixed polynomial in X = h^2 E and Y = h O, and each tail
-    is G or sin(theta) G^3 times sum_m W_m(h) X^i Y^j over the monomials
-    m = (i, j) of _MONOMIALS. As w >= K h, X <= h^2 + 2 / K^2 and
-    Y <= h + 2 / K, so no power overflows however small w and theta are
-    (E and O themselves grow like 1 / w^2 and 1 / w). The monomials are
-    added one at a time in their fixed order: a small batch stacks them
-    all, a large one loops over them and skips those of weight 0 in a
-    tail, which would leave its sum as it is.
-    """
-    e, em1, dd = _parts(w, sh2)
-    x = h * ((1.0 + e * e) / dd) * h
-    y = h * (-em1 * (1.0 + e) / dd)
-    xp, yp = _powers(x, _EM_ORDER), _powers(y, 2 * _EM_ORDER)
-    weights = _tail_weights(h)
-    if w.shape[-1] <= _SMALL:
-        tails = _in_order(np.add, weights * (xp[_MONO_I] * yp[_MONO_J])[:, None])
-    else:
-        tails = np.zeros((3, *w.shape))
-        mono = np.empty_like(w)
-        for k, (i, j) in enumerate(_MONOMIALS):
-            np.multiply(xp[i], yp[j], out=mono)
-            for t in _MONO_TAILS[k]:
-                tails[t] += weights[k, t, 0, 0] * mono
-    g = np.sqrt(e / dd)
-    tails[:2] *= g
-    tails[2] *= (st * e / dd) * g
-    return tails
-
-
-def _powers(x: np.ndarray, top: int) -> np.ndarray:
-    """x^0, x^1, ..., x^top stacked, each power one product from the last."""
-    out = np.empty((top + 1, *x.shape))
-    out[0] = 1.0
-    out[1:] = x
-    _in_order(np.multiply, out)
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def _tail_weights(h: float) -> np.ndarray:
-    """W_m(h) of the three tails, shape (len(_MONOMIALS), 3, 1, 1); the dG/dw ones carry 1/h."""
-    h2 = h * h
-    out = np.zeros((len(_MONOMIALS), 3, 1, 1))
-    for t, table in enumerate(_TAIL_WEIGHTS):
-        for k, mono in enumerate(_MONOMIALS):
-            acc = 0.0
-            for c in reversed(table.get(mono, ())):
-                acc = acc * h2 + c
-            out[k, t] = acc
-    out[:, 1] /= h
-    out.flags.writeable = False
-    return out
 
 
 def _add_images(total: np.ndarray, f: np.ndarray) -> None:

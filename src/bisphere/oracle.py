@@ -1,7 +1,9 @@
-"""Independent brute-force verifiers: image charges, Legendre series, flux, FD.
+"""Independent brute-force verifiers: image charges, Legendre and n-series, flux, FD.
 
 The image-charge iteration is classical electrostatics on the axis and
-shares no math with the series modules. The Legendre series sums the
+shares no math with the series modules. The bispherical n-series of the
+capacitance sums term by term what `capacitance` sums over images with
+an Euler-Maclaurin tail. The Legendre series sums the
 potentials degree by degree, the form the image-sum kernel of `fields`
 resums, and shares no code with it. Miller's recurrence gives the
 kernel's Euler-Maclaurin tail term by term, where `fields` uses a closed
@@ -118,6 +120,27 @@ def image_charge_capacitance(
         c22=_FOUR_PI * cols[2][1],
         n_terms=n_reflections,
         tail_bound=worst_tail,
+    )
+
+
+def n_series_capacitance(frame: BisphericalFrame, n_terms: int) -> CapacitanceMatrix:
+    """C11, C12 and C22 from the first n_terms terms of the bispherical n-series.
+
+    One numpy pass over x = 2n + 1 of e^{-x xi} / (1 - e^{-x s}), xi =
+    xi1, xi2 and s = xi1 + xi2, added pairwise. tail_bound is the
+    certified geometric tail of the terms left out: each is below
+    8 pi alpha e^{-x a} / (1 - e^{-s}), a = min(xi1, xi2).
+    """
+    xi1, xi2 = frame.xi1, frame.xi2
+    s = xi1 + xi2
+    x = 2.0 * np.arange(n_terms) + 1.0
+    inv = 1.0 / -np.expm1(-x * s)
+    pref = 8.0 * math.pi * frame.alpha
+    c11, c22, c12 = (pref * float(np.sum(np.exp(-x * rate) * inv)) for rate in (xi1, xi2, s))
+    a = min(xi1, xi2)
+    tail = pref * math.exp(-(2 * n_terms + 1) * a) / (-math.expm1(-s) * -math.expm1(-2.0 * a))
+    return CapacitanceMatrix(
+        c11=c11, c12=-c12, c21=-c12, c22=c22, n_terms=n_terms, tail_bound=tail
     )
 
 

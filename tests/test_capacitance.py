@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +11,14 @@ from bisphere import (
     TruncationCapError,
     capacitance_asymptotic_rescaled,
     capacitance_exact,
+    eigen,
     frame_from_pair,
     image_charge_capacitance,
     rescale,
     sigma_terms,
 )
-from bisphere.capacitance import _CHUNK
+from bisphere.oracle import n_series_capacitance
+from bisphere.specfun import _em_remainder
 
 # frozen with an mpmath (50 digit) evaluation of the bispherical series
 C_12_005 = (25.06122560143623, -18.778117859663308, 40.180464148599846)
@@ -163,57 +166,121 @@ def _closed_form_truncation(frame: BisphericalFrame, tol: float) -> tuple[int, f
     return n, tail(n)
 
 
-def _tol_for_terms(frame: BisphericalFrame, n_terms: int) -> float:
-    """A tolerance whose certified truncation keeps exactly n_terms terms."""
-    a = min(frame.xi1, frame.xi2)
-    _, tail0 = _closed_form_truncation(frame, math.inf)
-    tol = tail0 * math.exp(-2.0 * a * (n_terms - 1.5))
-    assert _closed_form_truncation(frame, tol)[0] == n_terms
-    return tol
-
-
-def _plain_series(frame: BisphericalFrame, n_terms: int) -> tuple[float, float, float]:
-    """C11, C12, C22 from a per-term loop over the first n_terms terms."""
-    xi1, xi2 = frame.xi1, frame.xi2
-    s = xi1 + xi2
-    s11, s22, s12 = [], [], []
-    for n in range(n_terms):
-        x = 2 * n + 1
-        denom = -math.expm1(-x * s)
-        s11.append(math.exp(-x * xi1) / denom)
-        s22.append(math.exp(-x * xi2) / denom)
-        s12.append(math.exp(-x * s) / denom)
-    pref = 8.0 * math.pi * frame.alpha
-    return pref * math.fsum(s11), -pref * math.fsum(s12), pref * math.fsum(s22)
-
-
 @pytest.mark.parametrize(
-    "radii, eps, tol, n_terms",
+    "radii, eps, tol",
     [
-        pytest.param((1.0, 2.0), 0.05, 1e-12, None, id="one-chunk"),
-        # several chunks, and exp(-2j xi1) underflows in every one of them
-        pytest.param((1.0, 1e3), 0.01, 1e-12, None, id="several-chunks-r1e3"),
-        # the tables underflow: exp(-2j xi1) past j = 283 of 12 k terms
-        pytest.param((1.0, 1e3), 1.0, 1e-14, None, id="underflow-r1e3"),
-        # exp(-2j xi2) past j = 3 772 of 7 k terms
-        pytest.param((7.3, 0.2), 1e-3, 1e-14, None, id="underflow-r0.2"),
-        # a last chunk of one term, a series that ends on a chunk boundary,
-        # and one that ends a term short of it
-        pytest.param((1.0, 2.0), 1e-6, None, _CHUNK + 1, id="chunk-plus-one"),
-        pytest.param((1.0, 2.0), 1e-6, None, 2 * _CHUNK, id="two-full-chunks"),
-        pytest.param((0.5, 3.0), 1e-7, None, 3 * _CHUNK - 1, id="three-chunks-less-one"),
+        # the ids name the chunk layouts of the tabulated n-series these
+        # cases were written for
+        pytest.param((1.0, 2.0), 0.05, 1e-12, id="one-chunk"),
+        # 1.4e5 terms, and exp(-x xi1) underflows past n = 2 637
+        pytest.param((1.0, 1e3), 0.01, 1e-12, id="several-chunks-r1e3"),
+        # exp(-x xi1) underflows past n = 283 of 12 k terms
+        pytest.param((1.0, 1e3), 1.0, 1e-14, id="underflow-r1e3"),
+        # exp(-x xi2) past n = 3 777 of 7 k terms
+        pytest.param((7.3, 0.2), 1e-3, 1e-14, id="underflow-r0.2"),
     ],
 )
-def test_series_equals_a_per_term_sum(radii, eps, tol, n_terms):
+def test_series_equals_a_per_term_sum(radii, eps, tol):
+    # the image sums against the n-series summed term by term, within both
+    # truncation bounds and the rounding of a sum of up to 1.4e5 terms
     frame = frame_from_pair(ResonatorPair(*radii, eps))
-    if tol is None:
-        tol = _tol_for_terms(frame, n_terms)
     c = capacitance_exact(frame, tol=tol)
     n_terms, tail_bound = _closed_form_truncation(frame, tol)
     assert c.n_terms == n_terms
-    assert c.tail_bound == tail_bound
-    c11, c12, c22 = _plain_series(frame, n_terms)
-    assert c.c11 == pytest.approx(c11, rel=4e-15)
-    assert c.c12 == pytest.approx(c12, rel=4e-15)
+    ref = n_series_capacitance(frame, n_terms)
+    assert ref.tail_bound == tail_bound
+    for name in ("c11", "c12", "c22"):
+        got, want = getattr(c, name), getattr(ref, name)
+        assert abs(got - want) <= ref.tail_bound + c.tail_bound + 4e-15 * abs(want)
     assert c.c21 == c.c12
-    assert c.c22 == pytest.approx(c22, rel=4e-15)
+
+
+with mpmath.workdps(40):
+    # Laurent coefficients of G0(w) = 1 / (2 sinh(w/2)) = sum_n a_n w^(2n-1),
+    # a_n = (1 - 2^(2n-1)) B_2n / (2^(2n-1) (2n)!), convergent for |w| < 2 pi
+    _G0_LAURENT = [(1 - mpmath.mpf(2) ** (2 * n - 1)) * mpmath.bernoulli(2 * n)
+                   / (mpmath.mpf(2) ** (2 * n - 1) * mpmath.factorial(2 * n)) for n in range(30)]
+
+
+def _g0_derivatives(w, top: int) -> list:
+    """G0^(m)(w) for m = 0 ... top in mpmath: the Laurent series below w = 1,
+    sum_n e^{-(n + 1/2) w} above."""
+    if w < 1:
+        powers = [w ** (2 * n - 1 - top) for n in range(len(_G0_LAURENT))]
+        return [mpmath.fsum(a * math.prod(range(2 * n - 1, 2 * n - 1 - m, -1)) * p * w ** (top - m)
+                            for n, (a, p) in enumerate(zip(_G0_LAURENT, powers)))
+                for m in range(top + 1)]
+    rates = [n + mpmath.mpf(0.5) for n in range(120)]
+    exps = [mpmath.exp(-r * w) for r in rates]
+    return [mpmath.fsum((-r) ** m * e for r, e in zip(rates, exps)) for m in range(top + 1)]
+
+
+def _mp_image_sum(w0, h):
+    """sum_{k>=0} G0(w0 + k h) to ~35 digits: 64 terms, then Euler-Maclaurin through B_20."""
+    head = mpmath.fsum(1 / (2 * mpmath.sinh((w0 + k * h) / 2)) for k in range(64))
+    w = w0 + 64 * h
+    d = _g0_derivatives(w, 19)
+    tail = -mpmath.log(mpmath.tanh(w / 4)) / h + d[0] / 2
+    tail -= mpmath.fsum(mpmath.bernoulli(2 * j) / mpmath.factorial(2 * j) * h ** (2 * j - 1)
+                        * d[2 * j - 1] for j in range(1, 11))
+    return head + tail
+
+
+@pytest.mark.parametrize("h, w", [(1e-12, 32e-12), (1e-3, 0.033), (0.1, 3.3), (0.5, 0.9),
+                                  (1.0, 32.0), (12.6, 406.0), (5.0, 1.0)])
+def test_em_remainder_is_the_first_omitted_correction(h, w):
+    # |B_10| / 10! h^9 |G0^(9)(w)| / G0(w) from the analytic derivatives above
+    with mpmath.workdps(40):
+        d = _g0_derivatives(mpmath.mpf(w), 9)
+        want = abs(mpmath.bernoulli(10)) / mpmath.factorial(10) * mpmath.mpf(h) ** 9 * abs(d[9] / d[0])
+    assert _em_remainder(h, w) == pytest.approx(float(want), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("radii", [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (1.0, 1e3), (7.3, 0.2)])
+def test_entries_within_the_tail_bound_of_an_mpmath_image_sum(radii):
+    # |C - C_ref| <= tail_bound + a few ulps, C_ref the image sums of the
+    # same frame in 40 digits, and tail_bound is 8 pi alpha |B_10| / 10! h^9
+    # |G0^(9)| at the nearest tail start; the cap admits every gap
+    worst = 0.0
+    for eps in (1.0, 1e-1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-15, 1e-20, 1e-25, 1e-30):
+        frame = frame_from_pair(ResonatorPair(*radii, eps))
+        c = capacitance_exact(frame, cap=10**40)
+        with mpmath.workdps(40):
+            xi1, xi2 = mpmath.mpf(frame.xi1), mpmath.mpf(frame.xi2)
+            h = 2 * (xi1 + xi2)
+            pref = 8 * mpmath.pi * mpmath.mpf(frame.alpha)
+            refs = (pref * _mp_image_sum(2 * xi1, h), -pref * _mp_image_sum(h, h),
+                    pref * _mp_image_sum(2 * xi2, h))
+            # the first omitted correction at the nearest tail start, 2 min(xi) + 32 h
+            d9 = _g0_derivatives(2 * min(xi1, xi2) + 32 * h, 9)[9]
+            bound = pref * abs(mpmath.bernoulli(10)) / mpmath.factorial(10) * h**9 * abs(d9)
+        assert c.tail_bound == pytest.approx(float(bound), rel=1e-12, abs=0.0)
+        for got, want in zip((c.c11, c.c12, c.c22), refs):
+            err = abs(got - float(want))
+            assert err <= c.tail_bound + 4 * 2.0**-52 * abs(got), (eps, got, float(want))
+            worst = max(worst, err / abs(got))
+    assert worst <= 4 * 2.0**-52
+
+
+@pytest.mark.parametrize("eps", [1e-60, 1e-100, 1e-300])
+@pytest.mark.parametrize("radii", [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0)])
+def test_deep_gap_entries_follow_the_asymptotics(radii, eps):
+    # the leading-order remainder is O(sqrt eps), far below rounding here, so
+    # the rescaled entries and lambda2 must agree to a few ulps; the rate of
+    # omega1 is not tested, it converges only like 1/|log eps|
+    pair = ResonatorPair(*radii, eps)
+    ct = rescale(capacitance_exact(frame_from_pair(pair), cap=10**200), pair)
+    asym = capacitance_asymptotic_rescaled(pair)
+    rel = 10.0 * math.sqrt(eps) + 4 * 2.0**-52
+    for name in ("ct11", "ct12", "ct21", "ct22"):
+        got, want = getattr(ct, name), getattr(asym, name)
+        assert abs(got - want) <= rel * abs(want), name
+    lam2, want = eigen(ct).lambda2, eigen(asym).lambda2
+    assert abs(lam2 - want) <= rel * abs(want)
+
+
+def test_a_tol_below_the_remainder_raises(frame_12):
+    bound = capacitance_exact(frame_12).tail_bound
+    assert 0.0 < bound < 1e-15
+    with pytest.raises(ValueError, match=f"remainder {bound:.1e}"):
+        capacitance_exact(frame_12, tol=1e-40)

@@ -261,6 +261,14 @@ def test_capacitance_with_a_loose_tol_sums_one_term(tmp_path):
     assert float(row["c11"]) > 0.0 > float(row["c12"])
 
 
+def test_capacitance_with_a_tol_below_the_remainder_is_config_error(capsys):
+    # the image sums cannot certify 1e-40; the error names their remainder
+    args = ["capacitance", "--r1", "1", "--r2", "2", "--eps", "0.05", "--tol", "1e-40"]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert "tolerance 1e-40 is below the capacitance sums' remainder" in err
+
+
 def test_error_json_goes_to_stdout(capsys):
     rc = run(
         [

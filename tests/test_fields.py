@@ -276,6 +276,24 @@ def test_boundary_traces_at_tiny_gaps(eps):
             assert np.max(np.abs(v[j] - want[j])) <= ps.tol
 
 
+@pytest.mark.parametrize("eps", [1e-310, 1e-315, 1e-320])
+def test_boundary_traces_at_underflowing_gaps(eps):
+    # below eps ~ 1e-308 the image arguments near the theta = 0 pole are so
+    # small that D = (1 - e)^2 + 4 e sin^2(theta/2) underflows unless rescaled
+    frame = frame_from_pair(ResonatorPair(1.0, 2.0, eps))
+    ps = potential_series(frame, tol=1e-10)
+    theta = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-170, math.pi, 200)])
+    # the derivative sums, not asked for here, overflow at these gaps
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = potential_field(ps, [frame.xi2], [1e-200]).v
+        assert v[1, 0] == pytest.approx(1.0, abs=4e-15)
+        assert abs(v[0, 0]) <= 4e-15
+        for xi0, want in ((-frame.xi1, (1.0, 0.0)), (frame.xi2, (0.0, 1.0))):
+            v = potential_field(ps, np.full_like(theta, xi0), theta).v
+            for j in (0, 1):
+                assert np.max(np.abs(v[j] - want[j])) <= 4e-15
+
+
 def test_interior_point_rejected(frame_12, series_12):
     inside = BisphericalPoint(frame_12.xi2 + 0.05, 1.0, 0.0)
     with pytest.raises(ValueError, match="inside resonator 2"):
