@@ -70,7 +70,6 @@ from .specfun import (
     GAMMA_EULER,
     digamma,
     digamma_series_tail,
-    legendre_p,
 )
 from .spectra import (
     Material,
@@ -127,7 +126,6 @@ __all__ = [
     "h_decomposition",
     "image_charge_capacitance",
     "image_charge_system",
-    "legendre_p",
     "log_epsilon_from_regime",
     "modal_coefficients",
     "potential_field",

@@ -6,6 +6,9 @@ units) and no timestamps; JSON mirrors the same schema with sorted keys.
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
 (truncation cap, pole guard, quadrature non-convergence, regime
 underflow).
+
+Every cell of a sweep or blow-up study runs in the calling process;
+`--jobs` is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -60,10 +63,7 @@ _NUMERICAL_ERRORS = (
     OverflowError,
 )
 
-# tol left unset picks a per-command default: tight for pointwise
-# quantities, looser for the blow-up sweep where it multiplies runtime
 _TOL_DEFAULT = 1e-10
-_TOL_BLOWUP_DEFAULT = 1e-8
 
 
 @dataclass
@@ -81,7 +81,7 @@ class RunConfig:
     tol: float | None = None
     out: str | None = None
     format: str = "csv"
-    jobs: int = 1
+    jobs: int = 1  # accepted for compatibility; has no effect
     samples: int = 400
     eps_grid: str | None = None
     delta_grid: str | None = None
@@ -365,8 +365,8 @@ def _emit_delta_sweep(cfg: RunConfig, r1: float, r2: float) -> None:
     for d in deltas:
         if not 0.0 < d < 1.0:
             raise ConfigError(f"contrast delta must be in (0, 1), got {d}")
-    cells = [(r1, r2, d, cfg.beta, c0) for d in deltas]
-    _emit(cfg, _RES_COLUMNS, _map_cells(_sweep_res_cell, cells, cfg.jobs), _RES_UNITS)
+    rows = [_resonance_row(r1, r2, d, cfg.beta, c0) for d in deltas]
+    _emit(cfg, _RES_COLUMNS, rows, _RES_UNITS)
 
 
 def cmd_resonances(cfg: RunConfig) -> None:
@@ -396,12 +396,9 @@ def cmd_blowup(cfg: RunConfig) -> None:
     if cfg.eps_grid is None:
         raise ConfigError("blowup needs --eps-grid lo:hi:n (log-spaced) or a comma list")
     grid = _parse_grid(cfg.eps_grid, log_scale=True, name="eps")
-    tol = cfg.tol if cfg.tol is not None else _TOL_BLOWUP_DEFAULT
+    tol = cfg.tol if cfg.tol is not None else _TOL_DEFAULT
     try:
-        study = blowup_study(
-            (r1, r2), _material(cfg), grid,
-            samples=cfg.samples, tol=tol, jobs=cfg.jobs,
-        )
+        study = blowup_study((r1, r2), _material(cfg), grid, samples=cfg.samples, tol=tol)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     columns = [
@@ -491,16 +488,6 @@ def cmd_scattering(cfg: RunConfig) -> None:
     _emit(cfg, columns, rows, units, comments=comments, summary=summary)
 
 
-def _sweep_cap_cell(args: tuple) -> list[float]:
-    r1, r2, eps, tol = args
-    return _cap_row(r1, r2, eps, tol)
-
-
-def _sweep_res_cell(args: tuple) -> list[float]:
-    r1, r2, delta, beta, c0 = args
-    return _resonance_row(r1, r2, delta, beta, c0)
-
-
 def cmd_sweep(cfg: RunConfig) -> None:
     r1, r2 = _require_radii(cfg)
     if cfg.quantity == "capacitance":
@@ -508,8 +495,7 @@ def cmd_sweep(cfg: RunConfig) -> None:
             raise ConfigError("a capacitance sweep needs --eps-grid")
         grid = _parse_grid(cfg.eps_grid, log_scale=True, name="eps")
         tol = cfg.tol if cfg.tol is not None else _TOL_DEFAULT
-        cells = [(r1, r2, e, tol) for e in grid]
-        rows = _map_cells(_sweep_cap_cell, cells, cfg.jobs)
+        rows = [_cap_row(r1, r2, e, tol) for e in grid]
         _emit(cfg, _CAP_COLUMNS, rows, _CAP_UNITS)
     elif cfg.quantity == "resonances":
         if cfg.delta_grid is None:
@@ -517,15 +503,6 @@ def cmd_sweep(cfg: RunConfig) -> None:
         _emit_delta_sweep(cfg, r1, r2)
     else:
         raise ConfigError("sweep needs --quantity capacitance or resonances")
-
-
-def _map_cells(fn, cells, jobs: int):
-    if jobs <= 1 or len(cells) <= 1:
-        return [fn(c) for c in cells]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, cells))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -553,7 +530,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, help="series tolerance")
         p.add_argument("--out", help="output file (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--jobs", type=int, help="parallel workers for sweeps")
+        p.add_argument(
+            "--jobs", type=int, help="accepted for compatibility; has no effect"
+        )
         p.add_argument(
             "--error-json",
             dest="error_json",

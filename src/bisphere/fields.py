@@ -45,11 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacitance import RescaledCapacitance, SigmaTerms
-from .geometry import BisphericalFrame, BisphericalPoint
+from .capacitance import RescaledCapacitance, SigmaTerms, capacitance_exact, rescale
+from .geometry import BisphericalFrame, BisphericalPoint, ResonatorPair, frame_from_pair
 from .specfun import _HEAD, _SMALL, _STACK, _em_remainder, _em_tails, _in_order, _kernel
-from .specfun import _MONOMIALS, _TAIL_WEIGHTS  # noqa: F401 - the kernel's tables, for its tests
-from .spectra import SpectralPair
+from .spectra import SpectralPair, eigen
 
 _SQRT2 = math.sqrt(2.0)
 # 4-point Gauss-Legendre rule on [-1, 1]: (node t, weight) for nodes -t and t
@@ -405,10 +404,6 @@ def _surface_grad_max(
 
 
 def _blowup_cell(r1: float, r2: float, eps: float, samples: int, tol: float):
-    from .capacitance import capacitance_exact, rescale
-    from .geometry import ResonatorPair, frame_from_pair
-    from .spectra import eigen
-
     pair = ResonatorPair(r1, r2, eps)
     frame = frame_from_pair(pair)
     sp = eigen(rescale(capacitance_exact(frame, tol=1e-12), pair))
@@ -446,7 +441,9 @@ def blowup_study(
     material is accepted for interface uniformity but never read: the
     leading-order eigenmodes are purely electrostatic, so the gap
     gradients and their blow-up rates are material independent. Only
-    the frequencies the modes ring at involve the contrast.
+    the frequencies the modes ring at involve the contrast. Likewise
+    jobs is accepted but has no effect: every gap runs in the calling
+    process.
     """
     r1, r2 = pair_family
     eps_values = sorted(float(e) for e in eps_grid)
@@ -458,22 +455,7 @@ def blowup_study(
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
 
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows = list(
-                ex.map(
-                    _blowup_cell,
-                    [r1] * len(eps_values),
-                    [r2] * len(eps_values),
-                    eps_values,
-                    [samples] * len(eps_values),
-                    [tol] * len(eps_values),
-                )
-            )
-    else:
-        rows = [_blowup_cell(r1, r2, e, samples, tol) for e in eps_values]
+    rows = [_blowup_cell(r1, r2, e, samples, tol) for e in eps_values]
 
     log_eps = np.log(eps_values)
     slope1 = float(np.polyfit(log_eps, np.log([r.max_grad_u1 for r in rows]), 1)[0])

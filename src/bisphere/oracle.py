@@ -41,7 +41,6 @@ class ImageChargeSystem:
     """
 
     charges: list[tuple[float, float, int]]
-    generations: int
 
 
 def image_charge_system(
@@ -70,7 +69,6 @@ def image_charge_system(
     z = centers[j]
     charges = [(z, q, home)]
     total = abs(q)
-    generations = 0
     for _ in range(n_reflections):
         other = 3 - home
         zc, rad = centers[other], radii[other]
@@ -80,10 +78,9 @@ def image_charge_system(
         home = other
         charges.append((z, q, home))
         total += abs(q)
-        generations += 1
         if abs(q) < 1e-14 * total:
             break
-    return ImageChargeSystem(charges=charges, generations=generations)
+    return ImageChargeSystem(charges=charges)
 
 
 def image_charge_capacitance(

@@ -37,7 +37,6 @@ class IncidentWave:
     direction: np.ndarray
     amplitude: complex
     k: float
-    k_b: float
 
     @classmethod
     def plane_wave(
@@ -59,7 +58,6 @@ class IncidentWave:
             direction=d / norm,
             amplitude=complex(amplitude),
             k=omega / material.v,
-            k_b=omega / material.v_b,
         )
 
     def value(self, x) -> complex:
@@ -75,8 +73,6 @@ class ModalCoefficients:
 
     a: complex
     b: complex
-    denom1: float
-    denom2: float
     b_numerator: complex
     omega1: float
     omega2: float
@@ -164,8 +160,6 @@ def modal_coefficients(
     return ModalCoefficients(
         a=num_a / den1,
         b=num_b / den2,
-        denom1=den1,
-        denom2=den2,
         b_numerator=b_num,
         omega1=om1,
         omega2=om2,

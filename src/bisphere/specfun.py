@@ -1,10 +1,9 @@
 """Special functions used by the series and the gap asymptotics.
 
-Legendre polynomials, the digamma function, the partial-fraction tail
-sum(z / (n(n - z))) that links the digamma function to the capacitance
-asymptotics, and the image kernel G(w) = (2 (cosh w - cos theta))^{-1/2}
-with its Euler-Maclaurin tail, which `fields` sums at every theta and
-`capacitance` at theta = 0.
+The digamma function, the partial-fraction tail sum(z / (n(n - z))) that
+links the digamma function to the capacitance asymptotics, and the image
+kernel G(w) = (2 (cosh w - cos theta))^{-1/2} with its Euler-Maclaurin
+tail, which `fields` sums at every theta and `capacitance` at theta = 0.
 """
 
 from __future__ import annotations
@@ -30,21 +29,6 @@ _TAIL_ORDERS = 30
 _HEAD_N = np.arange(1.0, _TAIL_HEAD + 1.0)
 _TAIL_POWERS = np.arange(1.0, _TAIL_ORDERS - 1.0)  # j - 1 for j = 2 ... 29
 _TAIL_ZETA = _hurwitz_zeta(_TAIL_POWERS + 1.0, _TAIL_HEAD + 1.0)
-
-
-def legendre_p(n: int, x: float) -> float:
-    """P_n(x) by the three-term recurrence; requires |x| <= 1."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    if abs(x) > 1.0:
-        raise ValueError(f"argument must lie in [-1, 1], got {x}")
-    if n == 0:
-        return 1.0
-    p_prev = 1.0
-    p = x
-    for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    return p
 
 
 def digamma(z: float) -> float:

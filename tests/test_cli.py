@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 
@@ -5,6 +6,7 @@ import pytest
 
 from bisphere import (
     ResonatorPair,
+    blowup_study,
     capacitance_exact,
     eigen,
     eval_grad_mode,
@@ -359,6 +361,33 @@ def test_sweep_capacitance_jobs_deterministic(tmp_path):
     assert run(base + ["--jobs", "2", "--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert len(_data_rows(_read(out_a))) == 6
+
+
+class _NoProcessPool:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a worker process pool was started")
+
+
+def test_jobs_starts_no_worker_process(monkeypatch, capsys, water_air):
+    """--jobs and blowup_study(jobs=) run every cell in the calling process."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoProcessPool)
+    commands = [
+        ["sweep", "--quantity", "capacitance", "--r1", "1", "--r2", "2",
+         "--eps-grid", "1e-3:1e-1:4"],
+        ["resonances", "--r1", "1", "--r2", "1",
+         "--delta-grid", "1e-6:1e-2:3", "--beta", "0.5"],
+        ["blowup", "--r1", "1", "--r2", "2",
+         "--eps-grid", "1e-4:1e-1:4", "--samples", "100"],
+    ]
+    for argv in commands:
+        outputs = []
+        for jobs in ("1", "2"):
+            assert run(argv + ["--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+    grid = [1e-4, 1e-3, 1e-2, 1e-1]
+    serial = blowup_study((1.0, 2.0), water_air, grid, samples=100, jobs=1)
+    assert blowup_study((1.0, 2.0), water_air, grid, samples=100, jobs=2) == serial
 
 
 def test_sweep_resonances_requires_grid(capsys):

@@ -29,8 +29,6 @@ from bisphere import (
 from bisphere.fields import (
     _GAUSS,
     _HEAD,
-    _MONOMIALS,
-    _TAIL_WEIGHTS,
     _em_tails,
     _image_sums,
     _kernel,
@@ -38,6 +36,7 @@ from bisphere.fields import (
     potential_field,
 )
 from bisphere.oracle import legendre_strip_sums, miller_em_tails
+from bisphere.specfun import _MONOMIALS, _TAIL_WEIGHTS
 
 
 def _thetas(n=200):
@@ -143,7 +142,7 @@ def test_image_sums_equal_a_plain_loop_at_every_batch_size(eps):
 
 
 def _tail_weights_from_millers_recurrence():
-    """The tail weights of fields._TAIL_WEIGHTS rebuilt from exact Fractions.
+    """The tail weights of specfun._TAIL_WEIGHTS rebuilt from exact Fractions.
 
     A polynomial is a dict {(i, j, k): c} for c X^i Y^j h^k. phi_m is
     X h^(m-2) / m! for even m and Y h^(m-1) / m! for odd m, and Miller's

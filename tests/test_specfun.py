@@ -9,58 +9,7 @@ from bisphere import (
     GAMMA_EULER,
     digamma,
     digamma_series_tail,
-    legendre_p,
 )
-
-xs = st.floats(min_value=-1.0, max_value=1.0)
-ns = st.integers(min_value=1, max_value=400)
-
-
-def test_legendre_frozen_values():
-    # P5(0.3) is exact in rationals: (63 x^5 - 70 x^3 + 15 x)/8
-    assert legendre_p(5, 0.3) == pytest.approx(0.34538625, rel=1e-14)
-    # frozen with mpmath at 50 digits
-    assert legendre_p(12, -0.77) == pytest.approx(0.0005391702450582716, rel=1e-12)
-
-
-def test_legendre_low_orders():
-    for x in (-0.9, -0.2, 0.0, 0.4, 1.0):
-        assert legendre_p(0, x) == 1.0
-        assert legendre_p(1, x) == x
-        assert legendre_p(2, x) == pytest.approx(1.5 * x * x - 0.5, rel=1e-15)
-
-
-def test_legendre_endpoints():
-    for n in range(51):
-        assert legendre_p(n, 1.0) == pytest.approx(1.0, rel=1e-13)
-        assert legendre_p(n, -1.0) == pytest.approx((-1.0) ** n, rel=1e-13)
-
-
-@settings(max_examples=120, deadline=None)
-@given(n=ns, x=xs)
-def test_legendre_bounded_by_one(n, x):
-    assert abs(legendre_p(n, x)) <= 1.0 + 1e-12
-
-
-def test_legendre_bounded_at_extreme_order():
-    # recurrence must stay stable far beyond any truncation the series needs
-    assert abs(legendre_p(10**6, 0.5)) <= 1.0 + 1e-9
-
-
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(min_value=1, max_value=200), x=xs)
-def test_legendre_three_term_recurrence(n, x):
-    lhs = (n + 1) * legendre_p(n + 1, x)
-    rhs = (2 * n + 1) * x * legendre_p(n, x) - n * legendre_p(n - 1, x)
-    assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_legendre_against_scipy():
-    for n in range(0, 40, 3):
-        for x in (-0.95, -0.5, -0.08, 0.33, 0.77, 0.999):
-            assert legendre_p(n, x) == pytest.approx(
-                float(scipy.special.eval_legendre(n, x)), rel=1e-12, abs=1e-13
-            )
 
 
 def test_digamma_special_values():
