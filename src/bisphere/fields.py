@@ -36,6 +36,12 @@ a point's values are the same bits in any batch.
 Gradients are exact derivatives of the same sums: dG/dw = -sinh(w) G^3
 and dG/dtheta = -sin(theta) G^3. Mode n is u_n = d_n V_1 + V_2 with the
 eigenvector ratio d_n.
+
+The blow-up study reads its maxima off the sphere surfaces, where V_j is
+known, the gradient is normal and two of the four image rows coincide.
+There each xi-derivative is a one-sided sum of dG/dw over the images
+from one of four start points, the same head and tail without the value
+sum, the theta-derivative or the Gauss nodes (_surface_grad).
 """
 
 from __future__ import annotations
@@ -94,9 +100,6 @@ class PotentialField:
     def mode_grad(self, d_n: float) -> np.ndarray:
         return d_n * self.grad[0] + self.grad[1]
 
-    def mode_grad_norm(self, d_n: float) -> np.ndarray:
-        return np.linalg.norm(self.mode_grad(d_n), axis=0)
-
 
 @dataclass(frozen=True)
 class ModeDecomposition:
@@ -119,6 +122,11 @@ class GradientStudyRow:
 
     location is where the mode-2 maximum sits on the sphere surfaces:
     a gap pole (theta = pi), of the smaller sphere when the radii differ.
+    At tiny gaps the profile is flat to rounding near the pole, and the
+    maximum can be a neighbouring sample (theta = pi - 1.7e-8 for radii
+    (1, 2) at eps = 1e-12); the two gap poles differ by about eps
+    relative, so below eps ~ 1e-16 they tie to rounding and either
+    sphere may hold the maximum.
     """
 
     epsilon: float
@@ -372,6 +380,73 @@ def h_decomposition(
     )
 
 
+def _surface_grad(
+    ps: PotentialSeries, ratios: list[float], n_theta: int = 400
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep angles theta and |grad u| on both spheres, shape (2, len(ratios), n_theta).
+
+    Row i of the result is sphere i + 1, at xi0 = -xi1 or xi2. The
+    n_theta angles are log-clustered toward the gap, where the blow-up
+    concentrates, and end on the gap pole theta = pi.
+
+    V_j is delta_ij on sphere i, so the exterior-side gradient of each
+    mode is normal there, of size (d / alpha) |d_n dV_1/dxi + dV_2/dxi|
+    with d = cosh(xi0) - cos(theta), and only the xi-derivatives of the
+    image sums S_j enter:
+
+        dV_j/dxi = delta_ij sinh(xi0) / (2 d) + sqrt(2 d) dS_j/dxi.
+
+    Two of the four image rows coincide on a sphere: on sphere 2, q_1 =
+    p_1 = 2 xi1 + xi2 and q_2 = p_2 + h; on sphere 1, q_2 = p_2 = xi1 +
+    2 xi2 and q_1 = p_1 + h. So each dS_j/dxi is +-2 T(w), less dG/dw(w)
+    for the sphere's own potential, with the one-sided sums
+    T(w) = sum_{k>=0} dG/dw(w + k h) from w = xi1, xi1 + 2 xi2, xi2 and
+    xi2 + 2 xi1: the _HEAD head images through _kernel and the
+    Euler-Maclaurin tail of _em_tails, which holds the integral. The four
+    start points broadcast against the angles, so the exponentials run
+    once per image, and no value sum, theta-derivative or Gauss node is
+    needed. No squared norm is formed, so a gradient is finite wherever
+    it is representable.
+    """
+    frame = ps.frame
+    xi1, xi2 = frame.xi1, frame.xi2
+    s = xi1 + xi2
+    h = 2.0 * s
+    u_min = max(s * 1e-2, 1e-9)
+    u = np.geomspace(u_min, math.pi, n_theta - 1)
+    theta = np.append(math.pi - u, math.pi)
+    sh2, st = np.square(np.sin(0.5 * theta)), np.sin(theta)
+    w = np.array([xi1, xi1 + 2.0 * xi2, xi2, xi2 + 2.0 * xi1])[:, None]
+    # T(w): the head terms dG/dw(w + k h), k < _HEAD, added in turn, with up
+    # to _STACK // N images per _kernel call as in _image_sums, then the tail
+    depth = max(_STACK // theta.size, 1)
+    shifts = np.arange(_HEAD) * h
+    t = 0.0
+    for k0 in range(0, _HEAD, depth):
+        terms = _kernel(w + shifts[k0:k0 + depth, None, None], sh2, st)[:, 1]
+        terms[0] += t
+        t = _in_order(np.add, terms)
+        if k0 == 0:
+            first = terms[0]  # dG/dw(w), left as it was since t was 0
+    t = t + _em_tails(w + _HEAD * h, sh2, st, h)[1]
+    # (xi0, dS_1/dxi, dS_2/dxi) on sphere 1, then on sphere 2
+    spheres = (
+        (-xi1, 2.0 * t[0] - first[0], -2.0 * t[1]),
+        (xi2, 2.0 * t[3], first[2] - 2.0 * t[2]),
+    )
+    g = np.empty((2, len(ratios), theta.size))
+    for i, (xi0, ds1, ds2) in enumerate(spheres):
+        # d in half-angle form, which does not cancel near the theta = 0 pole
+        d = 2.0 * (math.sinh(0.5 * xi0) ** 2 + sh2)
+        root = np.sqrt(2.0 * d)
+        f = [root * ds1, root * ds2]
+        f[i] += math.sinh(xi0) / (2.0 * d)
+        to_cartesian = d / frame.alpha
+        for k, d_n in enumerate(ratios):
+            g[i, k] = to_cartesian * np.abs(d_n * f[0] + f[1])
+    return theta, g
+
+
 def _surface_grad_max(
     ps: PotentialSeries, ratios: list[float], n_theta: int = 400
 ) -> list[tuple[float, BisphericalPoint]]:
@@ -380,26 +455,18 @@ def _surface_grad_max(
     |grad u|^2 is subharmonic in the exterior (sum of squares of
     harmonic functions), so the supremum over the whole exterior is
     attained on the spheres; sampling the surfaces therefore bounds the
-    global maximum, not just a slice. Each mode is constant on each
-    sphere, making the exterior-side gradient purely normal there, so
-    only the xi-derivative of the series enters. Each sphere gets
-    n_theta angles, log-clustered toward the gap, where the blow-up
-    concentrates, and ending on the gap pole theta = pi. A tie between
-    the spheres goes to sphere 1.
+    global maximum, not just a slice. The samples are those of
+    _surface_grad, the normal derivatives of the image sums. A tie
+    between the spheres goes to sphere 1.
     """
     frame = ps.frame
-    s = frame.xi1 + frame.xi2
-    u_min = max(s * 1e-2, 1e-9)
-    u = np.geomspace(u_min, math.pi, n_theta - 1)
-    theta = np.append(math.pi - u, math.pi)
+    theta, g = _surface_grad(ps, ratios, n_theta)
     best = [(-math.inf, None)] * len(ratios)
-    for xi0 in (-frame.xi1, frame.xi2):
-        f = potential_field(ps, np.full_like(theta, xi0), theta, np.zeros_like(theta))
-        for k, d_n in enumerate(ratios):
-            g = f.mode_grad_norm(d_n)
-            i = int(np.argmax(g))
-            if g[i] > best[k][0]:
-                best[k] = (float(g[i]), BisphericalPoint(xi0, float(theta[i]), 0.0))
+    for i, xi0 in enumerate((-frame.xi1, frame.xi2)):
+        for k in range(len(ratios)):
+            m = int(np.argmax(g[i, k]))
+            if g[i, k, m] > best[k][0]:
+                best[k] = (float(g[i, k, m]), BisphericalPoint(xi0, float(theta[m]), 0.0))
     return best
 
 
@@ -433,7 +500,10 @@ def blowup_study(
     over the whole exterior, gap included, sits on the spheres. That
     matters for the mode whose boundary values coincide: its gap field
     stays bounded and the true maximum sits on the outer parts of the
-    spheres, not in the gap. The anti-phase mode 2 peaks at a gap pole.
+    spheres, not in the gap. The anti-phase mode 2 peaks at or next to a
+    gap pole (see GradientStudyRow). The sweep sums only the normal
+    derivatives of the image sums and forms no squared norm
+    (_surface_grad), so every maximum a double holds comes out finite.
     Returns the per-gap rows, the fitted slopes of log max|grad u_n|
     against log eps, and the compensated products max * eps and
     max * eps * |log eps| for both modes.

@@ -16,6 +16,7 @@ harmonicity.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -219,6 +220,15 @@ def miller_em_tails(w, theta, h: float) -> np.ndarray:
     return np.stack([tail(c), tail_d, tail(c3)])
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order, read-only."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def flux_quadrature(
     ps: PotentialSeries,
     j: int,
@@ -251,7 +261,7 @@ def flux_quadrature(
     prev = None
     nodes = 256
     while nodes <= max_nodes:
-        t, w = np.polynomial.legendre.leggauss(nodes)
+        t, w = _gauss_legendre(nodes)
         theta = (t + 1.0) * (math.pi / 2.0)
         grad = potential_field(
             ps, np.full_like(theta, xi0), theta, np.zeros_like(theta)

@@ -172,12 +172,14 @@ def _parts(w: np.ndarray, sh2: np.ndarray, st: np.ndarray):
 def _kernel(w: np.ndarray, sh2: np.ndarray, st: np.ndarray) -> np.ndarray:
     """G, dG/dw = -sinh(w) G^3 and -dG/dtheta = sin(theta) G^3 at w.
 
-    For w of shape (..., R, N) the result has shape (..., 3, R, N).
+    For w, sh2 and st broadcasting to shape (..., R, N) the result has
+    shape (..., 3, R, N); w may be (..., R, 1) against angles of shape
+    (N,), which takes the exponentials once per image, not per point.
     Each derivative scales G by one ratio, so G^3, which overflows once
     w and theta are both below ~1e-103, is never formed.
     """
     e, em1, dd, scale = _parts(w, sh2, st)
-    out = np.empty((*w.shape[:-2], 3, *w.shape[-2:]))
+    out = np.empty((*dd.shape[:-2], 3, *dd.shape[-2:]))
     g = np.sqrt(e / dd, out=out[..., 0, :, :])
     np.multiply((0.5 * em1 * (1.0 + e) / dd), g, out=out[..., 1, :, :])
     np.multiply((st * e / dd), g, out=out[..., 2, :, :])
@@ -223,7 +225,8 @@ def _em_tails(w: np.ndarray, sh2: np.ndarray, st: np.ndarray, h: float) -> np.nd
     (E and O themselves grow like 1 / w^2 and 1 / w). The monomials are
     added one at a time in their fixed order: a small batch stacks them
     all, a large one loops over them and skips those of weight 0 in a
-    tail, which would leave its sum as it is.
+    tail, which would leave its sum as it is. As in _kernel, w may
+    broadcast against the angles; the result has their joint shape.
     """
     e, em1, dd, scale = _parts(w, sh2, st)
     hs = h if scale is None else h * scale
@@ -231,11 +234,11 @@ def _em_tails(w: np.ndarray, sh2: np.ndarray, st: np.ndarray, h: float) -> np.nd
     y = hs * (-em1 * (1.0 + e) / dd)
     xp, yp = _powers(x, _EM_ORDER), _powers(y, 2 * _EM_ORDER)
     weights = _tail_weights(h)
-    if w.shape[-1] <= _SMALL:
+    if x.shape[-1] <= _SMALL:
         tails = _in_order(np.add, weights * (xp[_MONO_I] * yp[_MONO_J])[:, None])
     else:
-        tails = np.zeros((3, *w.shape))
-        mono = np.empty_like(w)
+        tails = np.zeros((3, *x.shape))
+        mono = np.empty_like(x)
         for k, (i, j) in enumerate(_MONOMIALS):
             np.multiply(xp[i], yp[j], out=mono)
             for t in _MONO_TAILS[k]:

@@ -10,6 +10,7 @@ from bisphere import (
     Material,
     ResonatorPair,
     blowup_study,
+    capacitance_asymptotic_rescaled,
     capacitance_exact,
     eigen,
     eval_grad_mode,
@@ -32,6 +33,7 @@ from bisphere.fields import (
     _em_tails,
     _image_sums,
     _kernel,
+    _surface_grad,
     _surface_grad_max,
     potential_field,
 )
@@ -216,6 +218,21 @@ def test_tail_weights_are_the_exact_rationals():
         assert set(table) <= set(_MONOMIALS)
         for mono, coefs in exact.items():
             assert list(table[mono]) == [float(c) for c in coefs], mono
+
+
+@pytest.mark.parametrize("n", [1, 64, 400])
+def test_kernel_and_tails_broadcast_start_points_bit_for_bit(n):
+    # start points of shape (R, 1) against n angles give the bits of the
+    # same start points repeated per angle, in the small-batch and the
+    # large-batch branch of the tails
+    theta = np.append(np.linspace(0.0, math.pi, n - 1), 1e-200)[-n:]
+    sh2, st = np.square(np.sin(0.5 * theta)), np.sin(theta)
+    w = np.array([1e-150, 3e-3, 0.7, 4.0])[:, None]
+    h = 3e-152  # a tail start w is at least _HEAD h
+    full = np.repeat(w, n, axis=1)
+    shifts = (np.arange(_HEAD) * h)[:, None, None]
+    assert np.array_equal(_kernel(w + shifts, sh2, st), _kernel(full + shifts, sh2, st))
+    assert np.array_equal(_em_tails(w, sh2, st, h), _em_tails(full, sh2, st, h))
 
 
 @pytest.mark.parametrize("eps", [1e-1, 1e-6])
@@ -687,6 +704,76 @@ def test_blowup_study_at_tiny_gaps(water_air):
         for g, d_n in ((row.max_grad_u1, sp.d1), (row.max_grad_u2, sp.d2)):
             jump = abs(1.0 - d_n)
             assert abs(g * row.epsilon - jump) <= math.sqrt(row.epsilon) * max(1.0, jump)
+
+
+# |grad u_n| of the surface sweep against the norm of the full evaluator's
+# Cartesian gradient, in ulps of |d_n| |grad V_1| + |grad V_2|, the size of
+# the two terms it adds: 23 measured worst, over these pairs and gaps
+_SWEEP_ULPS = 64
+
+
+@pytest.mark.parametrize("radii", [(1.0, 2.0), (1.0, 1.0), (0.5, 3.0), (3.0, 0.2)])
+def test_surface_sweep_matches_the_full_evaluator(radii):
+    # potential_field sums values, both derivatives and the Gauss-node
+    # integrals of all four image rows; on a sphere the sweep needs only
+    # the one-sided normal-derivative sums, and both must give one gradient
+    bound = _SWEEP_ULPS * np.finfo(float).eps
+    for eps in 10.0 ** -np.arange(1, 13):
+        pair = ResonatorPair(*radii, eps)
+        frame = frame_from_pair(pair)
+        sp = eigen(rescale(capacitance_exact(frame, tol=1e-10), pair))
+        ps = potential_series(frame, tol=1e-8)
+        ratios = [sp.d1, sp.d2]
+        theta, g = _surface_grad(ps, ratios)
+        sweep = _surface_grad_max(ps, ratios)
+        fields = [
+            potential_field(ps, np.full_like(theta, xi0), theta, np.zeros_like(theta))
+            for xi0 in (-frame.xi1, frame.xi2)
+        ]
+        sizes = np.array([np.linalg.norm(f.grad, axis=1) for f in fields])
+        for k, d_n in enumerate(ratios):
+            # the evaluator's |grad u_n| on both spheres, and the scale of the bound
+            want = np.array([np.linalg.norm(f.mode_grad(d_n), axis=0) for f in fields])
+            scale = abs(d_n) * sizes[:, 0] + sizes[:, 1]
+            assert np.all(np.abs(g[:, k] - want) <= bound * scale)
+            # the maxima agree, and the sweep's maximizer is one of the
+            # evaluator's to within the bound: near the gap pole the profile
+            # can be flat to rounding, and either side may pick a neighbour
+            g_max, where = sweep[k]
+            i = 0 if where.xi == -frame.xi1 else 1
+            m = int(np.argmax(theta == where.theta))
+            assert theta[m] == where.theta and g_max == g[i, k, m]
+            top = np.unravel_index(np.argmax(want), want.shape)
+            assert abs(g_max - want[top]) <= bound * scale[top]
+            assert want[i, m] >= want[top] - bound * (scale[top] + scale[i, m])
+
+
+# max|grad u_n| eps = |1 - d_n| + O(sqrt eps) at the deep gaps, to within
+# this many ulps of |d_n| + 1, the size of the two cancelling jumps
+# |grad V_j| eps ~ 1, beyond the sqrt(eps) term: at most 2.0 measured
+_RATE_ULPS = 8
+
+
+@pytest.mark.parametrize("eps", [1e-30, 1e-100, 1e-200, 1e-300])
+@pytest.mark.parametrize("radii", [(1.0, 2.0), (0.5, 3.0), (3.0, 0.2)])
+def test_surface_sweep_follows_the_jump_law_at_deep_gaps(radii, eps):
+    # The jump law at gaps where the capacitance series is out of reach:
+    # d_n comes from the asymptotic rescaled matrix, which matches the exact
+    # one to O(sqrt eps). The anti-phase maxima ~ 9 / eps exceed the
+    # 1.3e154 where a squared norm overflows. Equal spheres are left out:
+    # their in-phase jump is 0, so the rounding of d_1 and of the sums,
+    # times |grad V_j| ~ 1 / eps, dominates.
+    pair = ResonatorPair(*radii, eps)
+    sp = eigen(capacitance_asymptotic_rescaled(pair))
+    ps = potential_series(frame_from_pair(pair), tol=1e-8)
+    sweep = _surface_grad_max(ps, [sp.d1, sp.d2])
+    for (g, where), d_n in zip(sweep, (sp.d1, sp.d2)):
+        jump = abs(1.0 - d_n)
+        assert math.isfinite(g)
+        slack = math.sqrt(eps) * jump + _RATE_ULPS * np.finfo(float).eps * (abs(d_n) + 1.0)
+        assert abs(g * eps - jump) <= slack
+        # the blow-up sits at the gap, where the two gap poles tie to rounding
+        assert where.theta > 3.14
 
 
 def test_blowup_study_grid_validation(water_air):
