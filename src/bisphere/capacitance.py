@@ -110,13 +110,14 @@ def _image_sums(xi1: float, xi2: float) -> list[float]:
     _HEAD terms from the kernel, then the integral of G0 from the tail
     start W, -log tanh(W / 4) = log1p(2 q / (1 - q)) with q = e^{-W/2},
     divided by h, and the Bernoulli corrections; added exactly rounded.
+    The kernel and its tail form the G row alone: the derivative rows
+    would overflow for w below ~1e-154.
     """
     h = 2.0 * (xi1 + xi2)
     w = np.array([[2.0 * xi1], [2.0 * xi2], [h]])
     start = w + _HEAD * h
-    with np.errstate(over="ignore"):  # the unused derivative rows overflow below w ~ 1e-154
-        head = _kernel(w + (np.arange(_HEAD) * h)[:, None, None], 0.0, 0.0)[:, 0, :, 0]
-        tails = _em_tails(start, 0.0, 0.0, h)[0, :, 0]
+    head = _kernel(w + (np.arange(_HEAD) * h)[:, None, None], 0.0, 0.0, slice(0, 1))[:, 0, :, 0]
+    tails = _em_tails(start, 0.0, 0.0, h, slice(0, 1))[0, :, 0]
     sums = []
     for terms, t, tail in zip(head.T.tolist(), start[:, 0].tolist(), tails.tolist()):
         integral = math.log1p(2.0 * math.exp(-0.5 * t) / -math.expm1(-0.5 * t))

@@ -34,14 +34,17 @@ one image at a time, which keeps its arrays in cache, and adds in a
 loop. Every sum still adds its terms one at a time in a fixed order, so
 a point's values are the same bits in any batch.
 Gradients are exact derivatives of the same sums: dG/dw = -sinh(w) G^3
-and dG/dtheta = -sin(theta) G^3. Mode n is u_n = d_n V_1 + V_2 with the
-eigenvector ratio d_n.
+and dG/dtheta = -sin(theta) G^3. A call without azimuths asks the kernel
+and its tail for the G row alone, so it pays for no derivative sum and
+none can overflow. Mode n is u_n = d_n V_1 + V_2 with the eigenvector
+ratio d_n.
 
 The blow-up study reads its maxima off the sphere surfaces, where V_j is
 known, the gradient is normal and two of the four image rows coincide.
 There each xi-derivative is a one-sided sum of dG/dw over the images
-from one of four start points, the same head and tail without the value
-sum, the theta-derivative or the Gauss nodes (_surface_grad).
+from one of four start points: the same head and tail, asked for the
+dG/dw row alone, with no value sum, theta-derivative or Gauss node
+(_surface_grad).
 """
 
 from __future__ import annotations
@@ -172,12 +175,13 @@ def potential_series(frame: BisphericalFrame, tol: float = 1e-10) -> PotentialSe
 def _add_images(total: np.ndarray, f: np.ndarray) -> None:
     """total += f(p) - f(q) (f(p) + f(q) for dG/dw) of each stacked image in turn.
 
-    f is _kernel's (images, 3, 4, N) and is overwritten: the pairs are
-    combined in place, which keeps a large batch's peak memory down. A
-    small batch adds the images with one accumulate, a large one in a loop.
+    f is _kernel's (images, rows, 4, N), with rows G, dG/dw and
+    sin(theta) G^3 or G alone, and is overwritten: the pairs are combined
+    in place, which keeps a large batch's peak memory down. A small batch
+    adds the images with one accumulate, a large one in a loop.
     """
     f[:, 0::2, 0::2] -= f[:, 0::2, 1::2]
-    f[:, 1, 0::2] += f[:, 1, 1::2]
+    f[:, 1:2, 0::2] += f[:, 1:2, 1::2]  # dG/dw, absent from G alone
     terms = f[:, :, 0::2]
     if total.shape[-1] <= _SMALL:
         terms[0] += total
@@ -187,16 +191,21 @@ def _add_images(total: np.ndarray, f: np.ndarray) -> None:
             total += term
 
 
-def _image_sums(frame: BisphericalFrame, xi: np.ndarray, theta: np.ndarray):
-    """(S, dS/dxi, dS/dtheta), each of shape (2, N), with V_j = sqrt(2 d) S[j - 1].
+def _image_sums(
+    frame: BisphericalFrame, xi: np.ndarray, theta: np.ndarray, grad: bool = True
+) -> np.ndarray:
+    """S, dS/dxi and dS/dtheta stacked, shape (3, 2, N), with V_j = sqrt(2 d) S[0, j - 1].
 
-    Every operation acts elementwise on the points and every sum adds
-    its terms one at a time in a fixed order, so a point's sums do not
+    With grad False only S is summed, shape (1, 2, N): the kernel and
+    its tail form the G row alone, so a value-only call pays for no
+    derivative and none can overflow; S has the same bits either way.
+    The Gauss nodes never form dG/dw, which needs no integral. Every
+    operation acts elementwise on the points and every sum adds its
+    terms one at a time in a fixed order, so a point's sums do not
     depend on the batch it comes in. To spare small batches a round of
     numpy calls per image, up to _STACK // N head images go through one
     call as a stacked array, and so do the eight Gauss nodes; a large
     batch, whose stack would outgrow the cache, takes one image at a time.
-    The three sums travel together as one (3, 2, N) array.
     """
     s = frame.xi1 + frame.xi2
     h = 2.0 * s
@@ -205,22 +214,26 @@ def _image_sums(frame: BisphericalFrame, xi: np.ndarray, theta: np.ndarray):
     w = np.stack([2.0 * frame.xi1 + xi, 2.0 * s - xi, 2.0 * frame.xi2 - xi, 2.0 * s + xi])
     depth = max(_STACK // max(xi.size, 1), 1)
     # S, dS/dxi with V_1's sign dp/dxi = +1, and -dS/dtheta
-    sums = np.zeros((3, 2, xi.size))
+    # all three rows, or G alone; the Gauss nodes skip dG/dw, which needs no integral
+    rows, nodes = (slice(None), slice(None, None, 2)) if grad else (slice(0, 1), slice(0, 1))
+    sums = np.zeros((3 if grad else 1, 2, xi.size))
     shifts = np.arange(_HEAD) * h
     for k0 in range(0, _HEAD, depth):
-        _add_images(sums, _kernel(w + shifts[k0:k0 + depth, None, None], sh2, st))
+        _add_images(sums, _kernel(w + shifts[k0:k0 + depth, None, None], sh2, st, rows))
     # Euler-Maclaurin tail from k = _HEAD: the closed-form corrections, and
     # integrals over [p, q] + K h by Gauss-Legendre (dG/dw needs none)
     w = w + _HEAD * h
-    tails = _em_tails(w, sh2, st, h)
+    tails = _em_tails(w, sh2, st, h, rows)
     mid, half = 0.5 * (w[0::2] + w[1::2]), 0.5 * (w[1::2] - w[0::2])
-    g = _kernel(mid + _GAUSS_NODES * half, sh2, st)
+    g = _kernel(mid + _GAUSS_NODES * half, sh2, st, nodes)
     g *= _GAUSS_WEIGHTS
-    sums[0::2] += half / h * _in_order(np.add, g)[0::2]
-    sums += tails[:, 0::2] + _PAIR_SIGNS * tails[:, 1::2]
-    # dq/dxi = -dp/dxi, and dp/dxi = -1 for V_2
-    sums[1, 1] = -sums[1, 1]
-    return sums[0], sums[1], -sums[2]
+    sums[0::2] += half / h * _in_order(np.add, g)
+    sums += tails[:, 0::2] + _PAIR_SIGNS[rows] * tails[:, 1::2]
+    if grad:
+        # dq/dxi = -dp/dxi, and dp/dxi = -1 for V_2
+        sums[1, 1] = -sums[1, 1]
+        sums[2] = -sums[2]
+    return sums
 
 
 def _check_strip(frame: BisphericalFrame, xi: np.ndarray) -> None:
@@ -259,7 +272,8 @@ def potential_field(ps: PotentialSeries, xi, theta, phi=None) -> PotentialField:
     frame = ps.frame
     xi, theta, phi = _as_points(xi, theta, phi)
     _check_strip(frame, xi)
-    s_val, s_xi, s_th = _image_sums(frame, xi, theta)
+    sums = _image_sums(frame, xi, theta, grad=phi is not None)
+    s_val = sums[0]
     # V_j = sqrt(2 d) S_j with d = cosh(xi) - cos(theta) = 2 (sinh(xi/2)^2 + sin(theta/2)^2):
     # the half-angle form does not cancel when xi and theta are both small
     # (far points, or the theta = 0 pole of a sphere at a narrow gap). Its
@@ -272,6 +286,7 @@ def potential_field(ps: PotentialSeries, xi, theta, phi=None) -> PotentialField:
     v = _SQRT2 * sqd * s_val
     if phi is None:
         return PotentialField(v=v, grad=None)
+    s_xi, s_th = sums[1:]
     sh, st = np.sinh(xi), np.sin(theta)
     f_xi = _SQRT2 * (0.5 * sh / sqd * s_val + sqd * s_xi)
     f_th = _SQRT2 * (0.5 * st / sqd * s_val + sqd * s_th)
@@ -402,7 +417,8 @@ def _surface_grad(
     for the sphere's own potential, with the one-sided sums
     T(w) = sum_{k>=0} dG/dw(w + k h) from w = xi1, xi1 + 2 xi2, xi2 and
     xi2 + 2 xi1: the _HEAD head images through _kernel and the
-    Euler-Maclaurin tail of _em_tails, which holds the integral. The four
+    Euler-Maclaurin tail of _em_tails, which holds the integral, each
+    asked for the dG/dw row alone. The four
     start points broadcast against the angles, so the exponentials run
     once per image, and no value sum, theta-derivative or Gauss node is
     needed. No squared norm is formed, so a gradient is finite wherever
@@ -423,12 +439,12 @@ def _surface_grad(
     shifts = np.arange(_HEAD) * h
     t = 0.0
     for k0 in range(0, _HEAD, depth):
-        terms = _kernel(w + shifts[k0:k0 + depth, None, None], sh2, st)[:, 1]
+        terms = _kernel(w + shifts[k0:k0 + depth, None, None], sh2, st, slice(1, 2))[:, 0]
         terms[0] += t
         t = _in_order(np.add, terms)
         if k0 == 0:
             first = terms[0]  # dG/dw(w), left as it was since t was 0
-    t = t + _em_tails(w + _HEAD * h, sh2, st, h)[1]
+    t = t + _em_tails(w + _HEAD * h, sh2, st, h, slice(1, 2))[0]
     # (xi0, dS_1/dxi, dS_2/dxi) on sphere 1, then on sphere 2
     spheres = (
         (-xi1, 2.0 * t[0] - first[0], -2.0 * t[1]),

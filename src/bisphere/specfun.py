@@ -4,6 +4,8 @@ The digamma function, the partial-fraction tail sum(z / (n(n - z))) that
 links the digamma function to the capacitance asymptotics, and the image
 kernel G(w) = (2 (cosh w - cos theta))^{-1/2} with its Euler-Maclaurin
 tail, which `fields` sums at every theta and `capacitance` at theta = 0.
+The kernel and the tail form G, dG/dw and sin(theta) G^3 as rows, and
+each caller asks for the rows it reads.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ _HEAD = 32  # image terms summed directly
 # 2048 gave the fastest potential_field from 8 to 800 points and was
 # within 5 % of the best at 1 and 1600 points
 _STACK = 2048
+_ROWS = range(3)  # G, dG/dw and sin(theta) G^3, the rows of _kernel and _em_tails
 _EM_ORDER = 4  # Bernoulli corrections in the tail, B_2 ... B_8
 _B_NEXT = 5.0 / 66.0  # B_10, of the first omitted correction
 _SMALL = _STACK // _HEAD  # a batch of at most this many points stacks everything
@@ -169,24 +172,32 @@ def _parts(w: np.ndarray, sh2: np.ndarray, st: np.ndarray):
     return e, em1, em1 * em1 + 4.0 * e * np.where(tiny, np.square(0.5 * st * scale), sh2), scale
 
 
-def _kernel(w: np.ndarray, sh2: np.ndarray, st: np.ndarray) -> np.ndarray:
-    """G, dG/dw = -sinh(w) G^3 and -dG/dtheta = sin(theta) G^3 at w.
+def _kernel(
+    w: np.ndarray, sh2: np.ndarray, st: np.ndarray, rows: slice = slice(None)
+) -> np.ndarray:
+    """G, dG/dw = -sinh(w) G^3 and -dG/dtheta = sin(theta) G^3 at w, as rows 0, 1 and 2.
 
-    For w, sh2 and st broadcasting to shape (..., R, N) the result has
-    shape (..., 3, R, N); w may be (..., R, 1) against angles of shape
-    (N,), which takes the exponentials once per image, not per point.
-    Each derivative scales G by one ratio, so G^3, which overflows once
-    w and theta are both below ~1e-103, is never formed.
+    Only the rows in the slice rows are formed, and the result is the
+    whole result's [..., rows, :, :] to the bit. For w, sh2 and st
+    broadcasting to shape (..., R, N) the whole result has shape
+    (..., 3, R, N); w may be (..., R, 1) against angles of shape (N,),
+    which takes the exponentials once per image, not per point. Each
+    derivative scales G by one ratio, so G^3, which overflows once w and
+    theta are both below ~1e-103, is never formed. On the subnormal path
+    of _parts the rows carry 1, 2 and 3 factors of its scale.
     """
     e, em1, dd, scale = _parts(w, sh2, st)
-    out = np.empty((*dd.shape[:-2], 3, *dd.shape[-2:]))
-    g = np.sqrt(e / dd, out=out[..., 0, :, :])
-    np.multiply((0.5 * em1 * (1.0 + e) / dd), g, out=out[..., 1, :, :])
-    np.multiply((st * e / dd), g, out=out[..., 2, :, :])
-    if scale is not None:  # G takes one factor of the scale, the other rows two and three
-        out *= scale[..., None, :, :]
-        out[..., 1:, :, :] *= scale[..., None, :, :]
-        out[..., 2, :, :] *= scale
+    ids = _ROWS[rows]
+    out = np.empty((*dd.shape[:-2], len(ids), *dd.shape[-2:]))
+    g = np.sqrt(e / dd, out=out[..., 0, :, :] if ids[0] == 0 else None)
+    for r, row in enumerate(ids):
+        if row:  # the derivatives, G times one ratio
+            ratio = 0.5 * em1 * (1.0 + e) / dd if row == 1 else st * e / dd
+            np.multiply(ratio, g, out=out[..., r, :, :])
+    if scale is not None:
+        for r, row in enumerate(ids):
+            for _ in range(row + 1):
+                out[..., r, :, :] *= scale
     return out
 
 
@@ -209,7 +220,9 @@ def _in_order(op: np.ufunc, a: np.ndarray) -> np.ndarray:
     return a[-1]
 
 
-def _em_tails(w: np.ndarray, sh2: np.ndarray, st: np.ndarray, h: float) -> np.ndarray:
+def _em_tails(
+    w: np.ndarray, sh2: np.ndarray, st: np.ndarray, h: float, rows: slice = slice(None)
+) -> np.ndarray:
     """Euler-Maclaurin tails of G, dG/dw and sin(theta) G^3 at the tail start w, stacked.
 
     Each is f(w) / 2 - sum_j B_2j / (2j)! h^(2j-1) f^(2j-1)(w), the sum
@@ -225,31 +238,38 @@ def _em_tails(w: np.ndarray, sh2: np.ndarray, st: np.ndarray, h: float) -> np.nd
     (E and O themselves grow like 1 / w^2 and 1 / w). The monomials are
     added one at a time in their fixed order: a small batch stacks them
     all, a large one loops over them and skips those of weight 0 in a
-    tail, which would leave its sum as it is. As in _kernel, w may
-    broadcast against the angles; the result has their joint shape.
+    tail, which would leave its sum as it is. As in _kernel, only the
+    rows in the slice rows are formed, the result is the whole result's
+    [rows] to the bit, and w may broadcast against the angles; the whole
+    result has shape (3, *joint shape). On the subnormal path of _parts
+    the tails carry 1, 1 and 3 factors of its scale (X and Y take it
+    through h, and the dG/dw weights carry 1 / h).
     """
     e, em1, dd, scale = _parts(w, sh2, st)
     hs = h if scale is None else h * scale
     x = hs * ((1.0 + e * e) / dd) * hs
     y = hs * (-em1 * (1.0 + e) / dd)
     xp, yp = _powers(x, _EM_ORDER), _powers(y, 2 * _EM_ORDER)
-    weights = _tail_weights(h)
+    ids = _ROWS[rows]
+    weights = _tail_weights(h)[:, rows]
     if x.shape[-1] <= _SMALL:
         tails = _in_order(np.add, weights * (xp[_MONO_I] * yp[_MONO_J])[:, None])
     else:
-        tails = np.zeros((3, *x.shape))
+        tails = np.zeros((len(ids), *x.shape))
         mono = np.empty_like(x)
         for k, (i, j) in enumerate(_MONOMIALS):
-            np.multiply(xp[i], yp[j], out=mono)
-            for t in _MONO_TAILS[k]:
-                tails[t] += weights[k, t, 0, 0] * mono
+            weighed = [r for r, row in enumerate(ids) if row in _MONO_TAILS[k]]
+            if weighed:
+                np.multiply(xp[i], yp[j], out=mono)
+                for r in weighed:
+                    tails[r] += weights[k, r, 0, 0] * mono
     g = np.sqrt(e / dd)
-    tails[:2] *= g
-    tails[2] *= (st * e / dd) * g
-    if scale is not None:  # as in _kernel
-        tails *= scale
-        tails[2] *= scale
-        tails[2] *= scale
+    for r, row in enumerate(ids):
+        tails[r] *= (st * e / dd) * g if row == 2 else g
+    if scale is not None:
+        for r, row in enumerate(ids):
+            for _ in range(3 if row == 2 else 1):
+                tails[r] *= scale
     return tails
 
 

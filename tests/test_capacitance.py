@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -277,6 +278,19 @@ def test_deep_gap_entries_follow_the_asymptotics(radii, eps):
         assert abs(got - want) <= rel * abs(want), name
     lam2, want = eigen(ct).lambda2, eigen(asym).lambda2
     assert abs(lam2 - want) <= rel * abs(want)
+
+
+@pytest.mark.parametrize("eps", [1e-310, 1e-320, 5e-324])
+def test_subnormal_gap_entries_raise_no_overflow(eps):
+    # image arguments below ~1e-154 would overflow the kernel's derivative
+    # rows; the sums form G alone, so nothing overflows or turns invalid
+    pair = ResonatorPair(1.0, 2.0, eps)
+    with np.errstate(over="raise", invalid="raise"):
+        c = capacitance_exact(frame_from_pair(pair), cap=10**300)
+    ct, asym = rescale(c, pair), capacitance_asymptotic_rescaled(pair)
+    for name in ("ct11", "ct12", "ct21", "ct22"):
+        got, want = getattr(ct, name), getattr(asym, name)
+        assert abs(got - want) <= 4 * 2.0**-52 * abs(want), name
 
 
 def test_a_tol_below_the_remainder_raises(frame_12):

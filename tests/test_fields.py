@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -38,7 +39,7 @@ from bisphere.fields import (
     potential_field,
 )
 from bisphere.oracle import legendre_strip_sums, miller_em_tails
-from bisphere.specfun import _MONOMIALS, _TAIL_WEIGHTS
+from bisphere.specfun import _MONOMIALS, _TAIL_WEIGHTS, _parts
 
 
 def _thetas(n=200):
@@ -143,6 +144,28 @@ def test_image_sums_equal_a_plain_loop_at_every_batch_size(eps):
     assert np.all(np.hypot(f_xi, f_th) <= 1e-15 * np.hypot(w_xi, w_th))
 
 
+@pytest.mark.parametrize("eps", [0.05, 1e-6, 1e-300, 1e-310])
+def test_value_only_image_sums_are_the_value_row_of_the_full_sums(eps):
+    # the sums without the derivative rows keep the bits of S, in the stacked
+    # and the looped batch; below eps ~ 1e-300 the full call's derivative
+    # rows overflow, the value-only call warns of nothing
+    frame = frame_from_pair(ResonatorPair(1.0, 2.0, eps))
+    rng = np.random.default_rng(5)
+    n = 1100
+    xi = rng.uniform(-frame.xi1, frame.xi2, n)
+    theta = rng.uniform(0.0, math.pi, n)
+    xi[:300] = np.where(rng.random(300) < 0.5, -frame.xi1, frame.xi2)
+    theta[:60] = rng.choice([0.0, math.pi, 1e-200, 5e-324], 60)
+    for size in (1, 64, 65, 400, n):
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = _image_sums(frame, xi[:size], theta[:size])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _image_sums(frame, xi[:size], theta[:size], grad=False)
+        assert got.shape == (1, 2, size)
+        assert np.array_equal(got, full[:1])
+
+
 def _tail_weights_from_millers_recurrence():
     """The tail weights of specfun._TAIL_WEIGHTS rebuilt from exact Fractions.
 
@@ -235,6 +258,32 @@ def test_kernel_and_tails_broadcast_start_points_bit_for_bit(n):
     assert np.array_equal(_em_tails(w, sh2, st, h), _em_tails(full, sh2, st, h))
 
 
+@pytest.mark.parametrize("n", [5, 64, 65, 200])
+@pytest.mark.parametrize("tiny", [False, True], ids=["normal", "subnormal"])
+def test_kernel_and_tails_rows_are_slices_of_the_full_call(tiny, n):
+    # each row asked for alone or in a pair has the bits of the same row of
+    # all three, in the stacked (n <= 64) and the looped tail; with tiny
+    # start points and angles D is subnormal and the rows carry the scale
+    theta = np.linspace(0.0, math.pi, n)
+    if tiny:
+        theta[: n // 2 + 1] = np.geomspace(5e-324, 1e-155, n // 2 + 1)
+        w, h = np.array([1e-170, 3e-165, 1e-160, 0.2])[:, None], 3e-172
+    else:
+        w, h = np.array([1e-3, 3e-2, 0.7, 4.0])[:, None], 3e-5
+    sh2, st = np.square(np.sin(0.5 * theta)), np.sin(theta)
+    heads = w + (np.arange(_HEAD) * h)[:, None, None]
+    # the derivative rows overflow to inf where w and theta are both tiny
+    with np.errstate(over="ignore"):
+        kernel, tails = _kernel(heads, sh2, st), _em_tails(w, sh2, st, h)
+        # G, dG/dw, sin(theta) G^3 alone, then each pair
+        for rows in (slice(0, 1), slice(1, 2), slice(2, 3), slice(0, 2), slice(0, 3, 2),
+                     slice(1, 3)):
+            assert np.array_equal(_kernel(heads, sh2, st, rows), kernel[:, rows])
+            assert np.array_equal(_em_tails(w, sh2, st, h, rows), tails[rows])
+    assert (_parts(heads, sh2, st)[3] is not None) == tiny
+    assert (_parts(w, sh2, st)[3] is not None) == tiny
+
+
 @pytest.mark.parametrize("eps", [1e-1, 1e-6])
 @pytest.mark.parametrize("theta", [1e-3, 1.0, math.pi])
 def test_em_tails_against_mpmath_taylor(eps, theta):
@@ -299,8 +348,10 @@ def test_boundary_traces_at_underflowing_gaps(eps):
     frame = frame_from_pair(ResonatorPair(1.0, 2.0, eps))
     ps = potential_series(frame, tol=1e-10)
     theta = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-170, math.pi, 200)])
-    # the derivative sums, not asked for here, overflow at these gaps
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the derivative sums, which overflow at these gaps, are not formed for V
+    # alone, so no warning fires
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         v = potential_field(ps, [frame.xi2], [1e-200]).v
         assert v[1, 0] == pytest.approx(1.0, abs=4e-15)
         assert abs(v[0, 0]) <= 4e-15
