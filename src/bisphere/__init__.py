@@ -3,6 +3,8 @@
 Exact bispherical-series capacitance, leading-order resonant frequencies
 and eigenmodes, gap-gradient blow-up rates, and low-frequency scattering
 response, all cross-checked against independent brute-force oracles.
+The oracles live in `bisphere.oracle`, which the package namespace does
+not import.
 """
 
 __version__ = "0.1.0"
@@ -51,14 +53,6 @@ from .geometry import (
     to_bispherical,
     to_cartesian,
 )
-from .oracle import (
-    ImageChargeSystem,
-    fd_check_gradient,
-    fd_check_laplacian,
-    flux_quadrature,
-    image_charge_capacitance,
-    image_charge_system,
-)
 from .scattering import (
     IncidentWave,
     ModalCoefficients,
@@ -89,7 +83,6 @@ __all__ = [
     "ConfigError",
     "GAMMA_EULER",
     "GradientStudyRow",
-    "ImageChargeSystem",
     "IncidentWave",
     "Material",
     "ModalCoefficients",
@@ -119,13 +112,8 @@ __all__ = [
     "eval_mode",
     "eval_potential",
     "eval_scattered",
-    "fd_check_gradient",
-    "fd_check_laplacian",
-    "flux_quadrature",
     "frame_from_pair",
     "h_decomposition",
-    "image_charge_capacitance",
-    "image_charge_system",
     "log_epsilon_from_regime",
     "modal_coefficients",
     "potential_field",

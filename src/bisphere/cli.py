@@ -4,8 +4,7 @@ Output is deterministic: identical configs produce byte-identical files.
 CSV carries a #-prefixed header block (tool version, config hash, column
 units) and no timestamps; JSON mirrors the same schema with sorted keys.
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
-(truncation cap, pole guard, quadrature non-convergence, regime
-underflow).
+(truncation cap, pole guard, regime underflow, overflow).
 
 Every cell of a sweep or blow-up study runs in the calling process;
 `--jobs` is accepted for compatibility and has no effect.
@@ -31,7 +30,6 @@ from .capacitance import (
 from .errors import (
     ConfigError,
     PoleProximityError,
-    QuadratureConvergenceError,
     RegimeUnderflowError,
     TruncationCapError,
 )
@@ -58,7 +56,6 @@ from .spectra import (
 _NUMERICAL_ERRORS = (
     TruncationCapError,
     PoleProximityError,
-    QuadratureConvergenceError,
     RegimeUnderflowError,
     OverflowError,
 )

@@ -26,13 +26,12 @@ fixed rational weights over the 25 monomials X^i Y^j with 2i + j <= 8
 (_em_tails). The kernel and its tail live in `specfun`, since the
 capacitance sums are the same image sums at theta = 0. The cost is the
 same at every gap.
-A small batch (at most _SMALL points) sends all head images, and every
-batch all Gauss nodes, through each numpy call as one stacked array and
-adds stacked terms with one accumulate, so that a single point does not
-pay a round of numpy calls per image or per term; a large batch takes
-one image at a time, which keeps its arrays in cache, and adds in a
-loop. Every sum still adds its terms one at a time in a fixed order, so
-a point's values are the same bits in any batch.
+How many head images go through one numpy call, and whether stacked
+terms are added with one accumulate or in a loop, is decided in
+`specfun` by the batch size (_head_blocks, _in_order); every batch
+sends all eight Gauss nodes through one call. Every sum adds its terms
+one at a time in a fixed order, so a point's values are the same bits
+in any batch.
 Gradients are exact derivatives of the same sums: dG/dw = -sinh(w) G^3
 and dG/dtheta = -sin(theta) G^3. A call without azimuths asks the kernel
 and its tail for the G row alone, so it pays for no derivative sum and
@@ -54,9 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacitance import RescaledCapacitance, SigmaTerms, capacitance_exact, rescale
+from .capacitance import RescaledCapacitance, capacitance_exact, rescale
 from .geometry import BisphericalFrame, BisphericalPoint, ResonatorPair, frame_from_pair
-from .specfun import _HEAD, _SMALL, _STACK, _em_remainder, _em_tails, _in_order, _kernel
+from .specfun import _HEAD, _em_remainder, _em_tails, _head_blocks, _in_order, _kernel
 from .spectra import SpectralPair, eigen
 
 _SQRT2 = math.sqrt(2.0)
@@ -172,23 +171,20 @@ def potential_series(frame: BisphericalFrame, tol: float = 1e-10) -> PotentialSe
     return PotentialSeries(frame=frame, n_max=_HEAD, tol=tol, tail_bound=bound)
 
 
-def _add_images(total: np.ndarray, f: np.ndarray) -> None:
-    """total += f(p) - f(q) (f(p) + f(q) for dG/dw) of each stacked image in turn.
+def _add_images(total: float | np.ndarray, f: np.ndarray) -> np.ndarray:
+    """total plus f(p) - f(q) (f(p) + f(q) for dG/dw) of each stacked image in turn.
 
     f is _kernel's (images, rows, 4, N), with rows G, dG/dw and
-    sin(theta) G^3 or G alone, and is overwritten: the pairs are combined
-    in place, which keeps a large batch's peak memory down. A small batch
-    adds the images with one accumulate, a large one in a loop.
+    sin(theta) G^3 or G alone at p_1, p_2, q_1 and q_2, and is
+    overwritten: the pairs are combined in place, which keeps a large
+    batch's peak memory down, the images are added in turn by _in_order,
+    and the sum, shape (rows, 2, N), is a view into f.
     """
-    f[:, 0::2, 0::2] -= f[:, 0::2, 1::2]
-    f[:, 1:2, 0::2] += f[:, 1:2, 1::2]  # dG/dw, absent from G alone
-    terms = f[:, :, 0::2]
-    if total.shape[-1] <= _SMALL:
-        terms[0] += total
-        total[...] = np.add.accumulate(terms, axis=0, out=terms)[-1]
-    else:
-        for term in terms:
-            total += term
+    f[:, 0::2, :2] -= f[:, 0::2, 2:]
+    f[:, 1:2, :2] += f[:, 1:2, 2:]  # dG/dw, absent from G alone
+    terms = f[:, :, :2]
+    terms[0] += total
+    return _in_order(np.add, terms)
 
 
 def _image_sums(
@@ -202,33 +198,31 @@ def _image_sums(
     The Gauss nodes never form dG/dw, which needs no integral. Every
     operation acts elementwise on the points and every sum adds its
     terms one at a time in a fixed order, so a point's sums do not
-    depend on the batch it comes in. To spare small batches a round of
-    numpy calls per image, up to _STACK // N head images go through one
-    call as a stacked array, and so do the eight Gauss nodes; a large
-    batch, whose stack would outgrow the cache, takes one image at a time.
+    depend on the batch it comes in. The head images come in the blocks
+    of specfun._head_blocks, and the eight Gauss nodes go through one
+    call as a stacked array.
     """
     s = frame.xi1 + frame.xi2
     h = 2.0 * s
     sh2, st = np.square(np.sin(0.5 * theta)), np.sin(theta)
-    # image arguments, rows p_1, q_1, p_2, q_2; S_j sums G(p_j) - G(q_j)
-    w = np.stack([2.0 * frame.xi1 + xi, 2.0 * s - xi, 2.0 * frame.xi2 - xi, 2.0 * s + xi])
-    depth = max(_STACK // max(xi.size, 1), 1)
+    # image arguments, rows p_1, p_2, q_1, q_2; S_j sums G(p_j) - G(q_j). With
+    # the p rows together, each image's terms are contiguous pairs of rows
+    w = np.stack([2.0 * frame.xi1 + xi, 2.0 * frame.xi2 - xi, 2.0 * s - xi, 2.0 * s + xi])
     # S, dS/dxi with V_1's sign dp/dxi = +1, and -dS/dtheta
     # all three rows, or G alone; the Gauss nodes skip dG/dw, which needs no integral
     rows, nodes = (slice(None), slice(None, None, 2)) if grad else (slice(0, 1), slice(0, 1))
-    sums = np.zeros((3 if grad else 1, 2, xi.size))
-    shifts = np.arange(_HEAD) * h
-    for k0 in range(0, _HEAD, depth):
-        _add_images(sums, _kernel(w + shifts[k0:k0 + depth, None, None], sh2, st, rows))
+    sums = 0.0
+    for block in _head_blocks(w, sh2, st, h, rows):
+        sums = _add_images(sums, block)
     # Euler-Maclaurin tail from k = _HEAD: the closed-form corrections, and
     # integrals over [p, q] + K h by Gauss-Legendre (dG/dw needs none)
     w = w + _HEAD * h
     tails = _em_tails(w, sh2, st, h, rows)
-    mid, half = 0.5 * (w[0::2] + w[1::2]), 0.5 * (w[1::2] - w[0::2])
+    mid, half = 0.5 * (w[:2] + w[2:]), 0.5 * (w[2:] - w[:2])
     g = _kernel(mid + _GAUSS_NODES * half, sh2, st, nodes)
     g *= _GAUSS_WEIGHTS
     sums[0::2] += half / h * _in_order(np.add, g)
-    sums += tails[:, 0::2] + _PAIR_SIGNS[rows] * tails[:, 1::2]
+    sums += tails[:, :2] + _PAIR_SIGNS[rows] * tails[:, 2:]
     if grad:
         # dq/dxi = -dp/dxi, and dp/dxi = -1 for V_2
         sums[1, 1] = -sums[1, 1]
@@ -354,9 +348,7 @@ def _mode_ratio(n: int, sp: SpectralPair) -> float:
     raise ValueError(f"mode index must be 1 or 2, got {n}")
 
 
-def h_decomposition(
-    ct: RescaledCapacitance, sp: SpectralPair, st: SigmaTerms, n: int
-) -> ModeDecomposition:
+def h_decomposition(ct: RescaledCapacitance, sp: SpectralPair, n: int) -> ModeDecomposition:
     """Solve for the regular/singular weights of mode n.
 
     Differentiating u_n = a_reg h1 + b_sing h2 and integrating the
@@ -369,13 +361,10 @@ def h_decomposition(
     with exact flux row sums s_i = ct_i1 + ct_i2. The singular profile
     h2 is normalized by its boundary fluxes: +1 out of sphere 1 and -1
     out of sphere 2 before any volume rescaling. The row sums equal the
-    digamma sigma terms only to O(sqrt(eps)), so the sigma values are
-    used as a positivity guard, not as system coefficients; solving with
-    the exact sums is what makes the symmetric structural zeros
-    (a_reg = 0 for mode 2, b_sing = 0 for mode 1) hold to rounding.
+    digamma sigma terms only to O(sqrt(eps)); solving with the exact
+    sums is what makes the symmetric structural zeros (a_reg = 0 for
+    mode 2, b_sing = 0 for mode 1) hold to rounding.
     """
-    if st.sigma1 + st.sigma2 <= 0.0:
-        raise ValueError("sigma terms must be positive; system would be singular")
     d_n = _mode_ratio(n, sp)
     lam = sp.lambda1 if n == 1 else sp.lambda2
     s1 = ct.ct11 + ct.ct12
@@ -416,7 +405,7 @@ def _surface_grad(
     2 xi2 and q_1 = p_1 + h. So each dS_j/dxi is +-2 T(w), less dG/dw(w)
     for the sphere's own potential, with the one-sided sums
     T(w) = sum_{k>=0} dG/dw(w + k h) from w = xi1, xi1 + 2 xi2, xi2 and
-    xi2 + 2 xi1: the _HEAD head images through _kernel and the
+    xi2 + 2 xi1: the _HEAD head images from _head_blocks and the
     Euler-Maclaurin tail of _em_tails, which holds the integral, each
     asked for the dG/dw row alone. The four
     start points broadcast against the angles, so the exponentials run
@@ -433,16 +422,13 @@ def _surface_grad(
     theta = np.append(math.pi - u, math.pi)
     sh2, st = np.square(np.sin(0.5 * theta)), np.sin(theta)
     w = np.array([xi1, xi1 + 2.0 * xi2, xi2, xi2 + 2.0 * xi1])[:, None]
-    # T(w): the head terms dG/dw(w + k h), k < _HEAD, added in turn, with up
-    # to _STACK // N images per _kernel call as in _image_sums, then the tail
-    depth = max(_STACK // theta.size, 1)
-    shifts = np.arange(_HEAD) * h
+    # T(w): the head terms dG/dw(w + k h), k < _HEAD, added in turn, then the tail
     t = 0.0
-    for k0 in range(0, _HEAD, depth):
-        terms = _kernel(w + shifts[k0:k0 + depth, None, None], sh2, st, slice(1, 2))[:, 0]
+    for i, block in enumerate(_head_blocks(w, sh2, st, h, slice(1, 2))):
+        terms = block[:, 0]
         terms[0] += t
         t = _in_order(np.add, terms)
-        if k0 == 0:
+        if i == 0:
             first = terms[0]  # dG/dw(w), left as it was since t was 0
     t = t + _em_tails(w + _HEAD * h, sh2, st, h, slice(1, 2))[0]
     # (xi0, dS_1/dxi, dS_2/dxi) on sphere 1, then on sphere 2

@@ -165,11 +165,11 @@ def to_bispherical(frame: BisphericalFrame, p) -> BisphericalPoint:
     return BisphericalPoint(xi=xi, theta=theta, phi=phi)
 
 
-def classify(frame: BisphericalFrame, p, rtol: float = 1e-12) -> str:
+def classify(frame: BisphericalFrame, p) -> str:
     """Locate a Cartesian point relative to the two spheres.
 
     Returns one of REGION_INSIDE_D1, REGION_INSIDE_D2, REGION_EXTERIOR,
-    REGION_BOUNDARY; boundary means within rtol * r_i of sphere i.
+    REGION_BOUNDARY; boundary means within 1e-12 r_i of sphere i.
     """
     p = _as_cartesian(p)
     for center, radius, inside in (
@@ -177,7 +177,7 @@ def classify(frame: BisphericalFrame, p, rtol: float = 1e-12) -> str:
         (frame.c2, frame.r2, REGION_INSIDE_D2),
     ):
         dist = math.hypot(p.x1, p.x2, p.x3 - center)
-        if abs(dist - radius) <= rtol * radius:
+        if abs(dist - radius) <= 1e-12 * radius:
             return REGION_BOUNDARY
         if dist < radius:
             return inside

@@ -28,6 +28,9 @@ from .fields import PotentialSeries, potential_field
 from .geometry import BisphericalPoint, ResonatorPair, to_bispherical
 from .spectra import Material, SpectralPair, eigen, resonant_frequencies
 
+# omega^2 within this much of omega_n^2 (relative) is a resonance: a and b raise there
+_POLE_GUARD = 1e-12
+
 
 @dataclass(frozen=True)
 class IncidentWave:
@@ -108,14 +111,12 @@ def _warn_outside_regime(krad: float, stacklevel: int) -> None:
     )
 
 
-def _check_poles(
-    den1: float, den2: float, om1: float, om2: float, pole_guard: float
-) -> None:
-    if abs(den1) < pole_guard * om1**2:
+def _check_poles(den1: float, den2: float, om1: float, om2: float) -> None:
+    if abs(den1) < _POLE_GUARD * om1**2:
         raise PoleProximityError(
             f"omega within guard band of the first resonance ({om1:.6g})"
         )
-    if abs(den2) < pole_guard * om2**2:
+    if abs(den2) < _POLE_GUARD * om2**2:
         raise PoleProximityError(
             f"omega within guard band of the second resonance ({om2:.6g})"
         )
@@ -139,13 +140,11 @@ def modal_coefficients(
     pair: ResonatorPair,
     material: Material,
     wave: IncidentWave,
-    *,
-    pole_guard: float = 1e-9,
 ) -> ModalCoefficients:
     """Modal amplitudes a, b for one incident wave.
 
-    Raises PoleProximityError when omega^2 sits within pole_guard
-    (relative) of either resonance; the leading-order amplitudes have a
+    Raises PoleProximityError when omega^2 sits within 1e-12 (relative,
+    _POLE_GUARD) of either omega_n^2; the leading-order amplitudes have a
     genuine pole there and the expansion stops being meaningful.
     """
     om1, om2 = _frequencies(cmat, pair, material)
@@ -155,7 +154,7 @@ def modal_coefficients(
     w2 = _square(wave.omega)
     den1 = w2 - om1**2
     den2 = w2 - om2**2
-    _check_poles(den1, den2, om1, om2, pole_guard)
+    _check_poles(den1, den2, om1, om2)
     num_a, num_b, b_num = _numerators(cmat, pair, material, wave.value(np.zeros(3)))
     return ModalCoefficients(
         a=num_a / den1,
@@ -193,28 +192,26 @@ def response_curve(
     material: Material,
     omega_grid,
     direction,
-    *,
-    amplitude: complex = 1.0,
-    pole_guard: float = 1e-12,
 ) -> list[tuple[float, float, float]]:
     """(omega, |a|, |b|) rows over a frequency grid, in one pass over the grid.
 
-    Each row equals abs() of modal_coefficients' a and b at that omega,
-    bit for bit. The spectrum and the numerators of a and b are formed
-    once; only the denominators omega^2 - omega_n^2 vary, and they are
-    evaluated as arrays over the whole grid. Validation keeps the order
-    of a loop over the grid: the first omega and the direction are
-    checked first, each omega with k * max radius > 0.5 then warns once,
-    in grid order, and the first omega that is not positive
-    (ValueError) or lies within pole_guard of a resonance
-    (PoleProximityError) raises after the warnings of every omega up to
-    it. Grid points must stay outside the (very tight) default pole
-    guard; a grid that lands exactly on a resonance is a caller bug.
+    Each row equals abs() of modal_coefficients' a and b for a plane
+    wave of unit amplitude at that omega, bit for bit. The spectrum and
+    the numerators of a and b are formed once; only the denominators
+    omega^2 - omega_n^2 vary, and they are evaluated as arrays over the
+    whole grid. Validation keeps the order of a loop over the grid: the
+    first omega and the direction are checked first, each omega with
+    k * max radius > 0.5 then warns once, in grid order, and the first
+    omega that is not positive (ValueError) or lies within 1e-12
+    (relative, in omega^2) of a resonance (PoleProximityError) raises
+    after the warnings of every omega up to it. That is
+    modal_coefficients' guard, so a row exists exactly where
+    modal_coefficients returns.
     """
     omegas = np.fromiter(omega_grid, dtype=float)
     if omegas.size == 0:
         return []
-    wave = IncidentWave.plane_wave(float(omegas[0]), direction, material, amplitude)
+    wave = IncidentWave.plane_wave(float(omegas[0]), direction, material)
     om1, om2 = _frequencies(cmat, pair, material)
     omega = omegas.tolist()
     krad = omegas / material.v * max(pair.r1, pair.r2)
@@ -230,15 +227,15 @@ def response_curve(
     den2 = w2 - om2**2
     stops = (
         ~(omegas > 0.0)
-        | (np.abs(den1) < pole_guard * om1**2)
-        | (np.abs(den2) < pole_guard * om2**2)
+        | (np.abs(den1) < _POLE_GUARD * om1**2)
+        | (np.abs(den2) < _POLE_GUARD * om2**2)
     )
     end = int(np.argmax(stops)) if stops.any() else len(omega)
     for i in np.flatnonzero(krad[: end + 1] > 0.5):
         _warn_outside_regime(float(krad[i]), stacklevel=1)
     if end < len(omega):
         _check_frequency(omega[end])
-        _check_poles(float(den1[end]), float(den2[end]), om1, om2, pole_guard)
+        _check_poles(float(den1[end]), float(den2[end]), om1, om2)
     num_a, num_b, _ = _numerators(cmat, pair, material, wave.value(np.zeros(3)))
     # abs(num / den) for a complex num and a float den is
     # hypot(num.real / den, num.imag / den), bit for bit; np.abs of the

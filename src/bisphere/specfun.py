@@ -6,12 +6,21 @@ kernel G(w) = (2 (cosh w - cos theta))^{-1/2} with its Euler-Maclaurin
 tail, which `fields` sums at every theta and `capacitance` at theta = 0.
 The kernel and the tail form G, dG/dw and sin(theta) G^3 as rows, and
 each caller asks for the rows it reads.
+
+The batch policy of those sums lives here too. A batch of N points
+sends up to _STACK // N head images through one kernel call
+(_head_blocks); a small batch (at most _SMALL points) adds stacked terms
+with one accumulate and a large one, whose arrays would outgrow the
+cache, in a loop (_in_order, _em_tails). Either way every sum adds its
+terms one at a time in a fixed order, so a point's values are the same
+bits in any batch.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
@@ -199,6 +208,24 @@ def _kernel(
             for _ in range(row + 1):
                 out[..., r, :, :] *= scale
     return out
+
+
+def _head_blocks(
+    w: np.ndarray, sh2: np.ndarray, st: np.ndarray, h: float, rows: slice = slice(None)
+) -> Iterator[np.ndarray]:
+    """_kernel at the head images w + k h, k < _HEAD, in blocks of consecutive k.
+
+    w has two axes (start points, then points or 1), and the angles give
+    the N points. A block holds up to _STACK // N images, so a small
+    batch sends the whole head through one call and does not pay a round
+    of numpy calls per image, while a large one, whose stack would
+    outgrow the cache, takes one image a call. Concatenated, the blocks
+    are the one _kernel call over all _HEAD images, bit for bit.
+    """
+    depth = max(_STACK // max(np.size(sh2), 1), 1)
+    shifts = np.arange(_HEAD) * h
+    for k0 in range(0, _HEAD, depth):
+        yield _kernel(w + shifts[k0:k0 + depth, None, None], sh2, st, rows)
 
 
 def _in_order(op: np.ufunc, a: np.ndarray) -> np.ndarray:

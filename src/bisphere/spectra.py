@@ -128,15 +128,15 @@ def resonant_frequencies(sp: SpectralPair, m: Material) -> ResonantFrequencies:
 def resonance_asymptotic(
     pair,
     m: Material,
-    eps: float | None = None,
     *,
     log_eps: float | None = None,
 ) -> ResonantFrequencies:
     """Closed-form leading-order frequencies for a small gap.
 
-    pair may be a ResonatorPair or a bare (r1, r2) tuple; the gap is
-    taken from eps, from log_eps (natural log, for regimes where the gap
-    underflows double precision), or from pair.epsilon, in that order.
+    pair is a ResonatorPair, whose epsilon is the gap, or a bare
+    (r1, r2) tuple with log_eps, the natural log of the gap, for regimes
+    where the gap underflows double precision; log_eps, when given,
+    overrides pair.epsilon.
 
     omega2 comes from the explicit blow-up formula
         omega2^2 = delta (3 v_b^2 / 2)(1/r1^3 + 1/r2^3)
@@ -148,27 +148,20 @@ def resonance_asymptotic(
     """
     if isinstance(pair, ResonatorPair):
         r1, r2 = pair.r1, pair.r2
-        if eps is None and log_eps is None:
-            eps = pair.epsilon
     else:
         r1, r2 = pair
         if not (r1 > 0.0 and r2 > 0.0):
             raise ValueError("radii must be positive")
-    if (eps is None) == (log_eps is None):
-        raise ValueError("provide exactly one of eps and log_eps")
-    if eps is not None:
-        if not eps > 0.0:
-            raise ValueError(f"gap must be positive, got {eps}")
-        log_eps = math.log(eps)
+        if log_eps is None:
+            raise ValueError("a bare (r1, r2) pair needs log_eps")
 
-    # lambda1 from the sigma terms; with a representable gap use the true
+    # lambda1 from the sigma terms; with the pair's own gap use the true
     # frame, otherwise the touching-limit values z_i -> r_i/(r1+r2) and
     # alpha/s -> r1 r2/(r1+r2)
-    if eps is not None:
-        p = pair if isinstance(pair, ResonatorPair) else ResonatorPair(r1, r2, eps)
-        frame = frame_from_pair(p)
-        st = sigma_terms(frame, p)
+    if log_eps is None:
+        st = sigma_terms(frame_from_pair(pair), pair)
         lam1 = (r1**3 * st.sigma1 + r2**3 * st.sigma2) / (r1**3 + r2**3)
+        log_eps = math.log(pair.epsilon)
     else:
         alpha_over_s = r1 * r2 / (r1 + r2)
         t1 = digamma_series_tail(r1 / (r1 + r2))

@@ -14,11 +14,10 @@ from bisphere import (
     capacitance_exact,
     eigen,
     frame_from_pair,
-    image_charge_capacitance,
     rescale,
     sigma_terms,
 )
-from bisphere.oracle import n_series_capacitance
+from bisphere.oracle import image_charge_capacitance, n_series_capacitance
 from bisphere.specfun import _em_remainder
 
 # frozen with an mpmath (50 digit) evaluation of the bispherical series

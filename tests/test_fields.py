@@ -18,13 +18,10 @@ from bisphere import (
     eval_grad_potential,
     eval_mode,
     eval_potential,
-    fd_check_gradient,
-    flux_quadrature,
     frame_from_pair,
     h_decomposition,
     potential_series,
     rescale,
-    sigma_terms,
     to_bispherical,
     to_cartesian,
 )
@@ -38,8 +35,13 @@ from bisphere.fields import (
     _surface_grad_max,
     potential_field,
 )
-from bisphere.oracle import legendre_strip_sums, miller_em_tails
-from bisphere.specfun import _MONOMIALS, _TAIL_WEIGHTS, _parts
+from bisphere.oracle import (
+    fd_check_gradient,
+    flux_quadrature,
+    legendre_strip_sums,
+    miller_em_tails,
+)
+from bisphere.specfun import _MONOMIALS, _STACK, _TAIL_WEIGHTS, _head_blocks, _parts
 
 
 def _thetas(n=200):
@@ -282,6 +284,33 @@ def test_kernel_and_tails_rows_are_slices_of_the_full_call(tiny, n):
             assert np.array_equal(_em_tails(w, sh2, st, h, rows), tails[rows])
     assert (_parts(heads, sh2, st)[3] is not None) == tiny
     assert (_parts(w, sh2, st)[3] is not None) == tiny
+
+
+@pytest.mark.parametrize("n", [1, 64, 65, 400, 2049])
+@pytest.mark.parametrize("tiny", [False, True], ids=["normal", "subnormal"])
+def test_head_blocks_concatenate_to_one_kernel_call(tiny, n):
+    # the head blocks of a batch of n points, up to _STACK // n images each
+    # (one image a block above _STACK points), are the one _kernel call over
+    # all _HEAD images to the bit, for start points per point (as in
+    # _image_sums) and shared by the angles (as in _surface_grad); with tiny
+    # start points and angles D is subnormal and the rows carry the scale
+    theta = np.linspace(0.0, math.pi, n)
+    if tiny:
+        theta[: n // 2 + 1] = np.geomspace(5e-324, 1e-155, n // 2 + 1)
+        w, h = np.array([1e-170, 3e-165, 1e-160, 0.2])[:, None], 3e-172
+    else:
+        w, h = np.array([1e-3, 3e-2, 0.7, 4.0])[:, None], 3e-5
+    sh2, st = np.square(np.sin(0.5 * theta)), np.sin(theta)
+    shifts = (np.arange(_HEAD) * h)[:, None, None]
+    # the derivative rows overflow to inf where w and theta are both tiny
+    with np.errstate(over="ignore"):
+        for starts in (w, np.repeat(w, n, axis=1)):
+            blocks = list(_head_blocks(starts, sh2, st, h))
+            assert len(blocks) == -(-_HEAD // max(_STACK // n, 1))
+            assert np.array_equal(np.concatenate(blocks), _kernel(starts + shifts, sh2, st))
+            for rows in (slice(0, 1), slice(1, 2)):
+                got = np.concatenate(list(_head_blocks(starts, sh2, st, h, rows)))
+                assert np.array_equal(got, _kernel(starts + shifts, sh2, st, rows))
 
 
 @pytest.mark.parametrize("eps", [1e-1, 1e-6])
@@ -615,9 +644,8 @@ def test_anti_phase_gap_gradient_magnitude(frame_sym, series_sym, spectral_sym, 
 def test_h_decomposition_symmetric_structure(pair_sym, frame_sym):
     ct = rescale(capacitance_exact(frame_sym, tol=1e-13), pair_sym)
     sp = eigen(ct)
-    st_ = sigma_terms(frame_sym, pair_sym)
-    dec1 = h_decomposition(ct, sp, st_, 1)
-    dec2 = h_decomposition(ct, sp, st_, 2)
+    dec1 = h_decomposition(ct, sp, 1)
+    dec2 = h_decomposition(ct, sp, 2)
     # in-phase mode is exactly the regular profile, anti-phase exactly the
     # singular one
     assert dec1.a_reg == pytest.approx(1.0, rel=1e-12)
@@ -640,9 +668,8 @@ def test_h_decomposition_reconstructs_modes_pointwise(
     pair_12, frame_12, series_12, spectral_12, cap_12, rng
 ):
     ct = rescale(cap_12, pair_12)
-    st_ = sigma_terms(frame_12, pair_12)
-    dec1 = h_decomposition(ct, spectral_12, st_, 1)
-    dec2 = h_decomposition(ct, spectral_12, st_, 2)
+    dec1 = h_decomposition(ct, spectral_12, 1)
+    dec2 = h_decomposition(ct, spectral_12, 2)
 
     # recover the singular profile from mode 2, then check mode 1 against it
     def h2_from_mode2(b):
@@ -670,8 +697,7 @@ def test_h_decomposition_flux_normalization(
     # the singular profile carries flux +1 out of sphere 1 and -1 out of
     # sphere 2; recover it by linearity from the mode fluxes
     ct = rescale(cap_12, pair_12)
-    st_ = sigma_terms(frame_12, pair_12)
-    dec2 = h_decomposition(ct, spectral_12, st_, 2)
+    dec2 = h_decomposition(ct, spectral_12, 2)
     for i, want in ((1, 1.0), (2, -1.0)):
         flux_v1 = flux_quadrature(series_12, 1, i, tol=1e-9)
         flux_v2 = flux_quadrature(series_12, 2, i, tol=1e-9)
@@ -683,9 +709,8 @@ def test_h_decomposition_flux_normalization(
 
 def test_h_decomposition_rejects_bad_mode_index(pair_12, frame_12, cap_12, spectral_12):
     ct = rescale(cap_12, pair_12)
-    st_ = sigma_terms(frame_12, pair_12)
     with pytest.raises(ValueError):
-        h_decomposition(ct, spectral_12, st_, 3)
+        h_decomposition(ct, spectral_12, 3)
 
 
 def test_max_gap_gradient_anti_phase_plateau():

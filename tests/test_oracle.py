@@ -7,13 +7,15 @@ from bisphere import (
     QuadratureConvergenceError,
     ResonatorPair,
     capacitance_exact,
+    frame_from_pair,
+    potential_series,
+)
+from bisphere.oracle import (
     fd_check_gradient,
     fd_check_laplacian,
     flux_quadrature,
-    frame_from_pair,
     image_charge_capacitance,
     image_charge_system,
-    potential_series,
 )
 
 

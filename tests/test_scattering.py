@@ -13,12 +13,12 @@ from bisphere import (
     eigen,
     eval_scattered,
     frame_from_pair,
-    image_charge_capacitance,
     modal_coefficients,
     rescale,
     resonant_frequencies,
     response_curve,
 )
+from bisphere.oracle import image_charge_capacitance
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -108,6 +108,15 @@ def test_pole_guard_raises(pair_12, cap_12, water_air):
         modal_coefficients(cap_12, pair_12, water_air, _wave(probe.omega1, water_air))
     with pytest.raises(PoleProximityError):
         modal_coefficients(cap_12, pair_12, water_air, _wave(probe.omega2, water_air))
+    with pytest.raises(PoleProximityError):
+        response_curve(cap_12, pair_12, water_air, [probe.omega1], Z)
+    # one guard, 1e-12 relative in omega^2, for both: just outside it both
+    # return, with the same bits
+    near = probe.omega1 * (1.0 + 1e-11)
+    mc = modal_coefficients(cap_12, pair_12, water_air, _wave(near, water_air))
+    assert response_curve(cap_12, pair_12, water_air, [near], Z) == [
+        (near, abs(mc.a), abs(mc.b))
+    ]
 
 
 def test_label_swap_covariance(water_air):
@@ -171,12 +180,12 @@ def test_response_curve_warns_outside_subwavelength_regime(water_air):
     assert len(caught) == 3
 
 
-def _loop_rows(cmat, pair, material, grid, direction, pole_guard=1e-12):
+def _loop_rows(cmat, pair, material, grid, direction):
     """response_curve as a plain loop of modal_coefficients over the grid."""
     rows = []
     for omega in grid:
         wave = IncidentWave.plane_wave(float(omega), direction, material)
-        mc = modal_coefficients(cmat, pair, material, wave, pole_guard=pole_guard)
+        mc = modal_coefficients(cmat, pair, material, wave)
         rows.append((float(omega), abs(mc.a), abs(mc.b)))
     return rows
 
