@@ -21,7 +21,6 @@ from .capacitance import (
 from .errors import (
     ConfigError,
     PoleProximityError,
-    QuadratureConvergenceError,
     RegimeUnderflowError,
     TruncationCapError,
 )
@@ -33,8 +32,6 @@ from .fields import (
     PotentialSeries,
     blowup_study,
     eval_grad_mode,
-    eval_grad_potential,
-    eval_mode,
     eval_potential,
     h_decomposition,
     potential_field,
@@ -90,7 +87,6 @@ __all__ = [
     "PoleProximityError",
     "PotentialField",
     "PotentialSeries",
-    "QuadratureConvergenceError",
     "RegimeUnderflowError",
     "RescaledCapacitance",
     "ResonantFrequencies",
@@ -108,8 +104,6 @@ __all__ = [
     "eigen",
     "epsilon_from_regime",
     "eval_grad_mode",
-    "eval_grad_potential",
-    "eval_mode",
     "eval_potential",
     "eval_scattered",
     "frame_from_pair",

@@ -1,10 +1,15 @@
-"""Command line driver: single evaluations, sweeps, blow-up and response curves.
+"""Command line driver: single evaluations, tables, blow-up and response curves.
+
+Each table has one command: `sweep --quantity capacitance` tabulates the
+capacitance over a gap grid, and `resonances --delta-grid` the resonant
+frequencies over a contrast grid.
 
 Output is deterministic: identical configs produce byte-identical files.
 CSV carries a #-prefixed header block (tool version, config hash, column
 units) and no timestamps; JSON mirrors the same schema with sorted keys.
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure
-(truncation cap, pole guard, regime underflow, overflow).
+Exit codes: 0 success, 2 invalid configuration (a config-file value of
+the wrong type, a non-finite or non-positive physical input), 3 numerical
+failure (truncation cap, pole guard, regime underflow, overflow).
 
 Every cell of a sweep or blow-up study runs in the calling process;
 `--jobs` is accepted for compatibility and has no effect.
@@ -84,12 +89,25 @@ class RunConfig:
     delta_grid: str | None = None
     omega_grid: str | None = None
     direction: str = "0,0,1"
-    points: list = field(default_factory=list)
+    points: list[str] = field(default_factory=list)
     quantity: str | None = None
     error_json: bool = False
 
 
 _CONFIG_KEYS = {f.name for f in fields(RunConfig)}
+_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
+# what a config-file value of each RunConfig field type must be
+_VALUE_KINDS = {
+    "float": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "list[str]": (
+        "a list of strings",
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+    ),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+}
 
 
 def _load_config(path: str) -> dict:
@@ -105,6 +123,11 @@ def _load_config(path: str) -> dict:
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, val in data.items():
+        kind, _, optional = _CONFIG_TYPES[key].partition(" | ")
+        what, ok = _VALUE_KINDS[kind]
+        if not (ok(val) or (val is None and optional)):
+            raise ConfigError(f"config key {key!r} must be {what}, got {val!r}")
     return data
 
 
@@ -353,23 +376,19 @@ _RES_UNITS = {
 }
 
 
-def _emit_delta_sweep(cfg: RunConfig, r1: float, r2: float) -> None:
-    """The regime table over --delta-grid, one _resonance_row per contrast."""
-    if cfg.beta is None:
-        raise ConfigError("a delta sweep needs the regime exponent --beta")
-    c0 = cfg.c0 if cfg.c0 is not None else 1.0
-    deltas = _parse_grid(cfg.delta_grid, log_scale=True, name="delta")
-    for d in deltas:
-        if not 0.0 < d < 1.0:
-            raise ConfigError(f"contrast delta must be in (0, 1), got {d}")
-    rows = [_resonance_row(r1, r2, d, cfg.beta, c0) for d in deltas]
-    _emit(cfg, _RES_COLUMNS, rows, _RES_UNITS)
-
-
 def cmd_resonances(cfg: RunConfig) -> None:
     r1, r2 = _require_radii(cfg)
     if cfg.delta_grid is not None:
-        _emit_delta_sweep(cfg, r1, r2)
+        # the regime table, one _resonance_row per contrast
+        if cfg.beta is None:
+            raise ConfigError("a delta sweep needs the regime exponent --beta")
+        c0 = cfg.c0 if cfg.c0 is not None else 1.0
+        deltas = _parse_grid(cfg.delta_grid, log_scale=True, name="delta")
+        for d in deltas:
+            if not 0.0 < d < 1.0:
+                raise ConfigError(f"contrast delta must be in (0, 1), got {d}")
+        rows = [_resonance_row(r1, r2, d, cfg.beta, c0) for d in deltas]
+        _emit(cfg, _RES_COLUMNS, rows, _RES_UNITS)
         return
 
     eps = _resolve_epsilon(cfg)
@@ -494,12 +513,11 @@ def cmd_sweep(cfg: RunConfig) -> None:
         tol = cfg.tol if cfg.tol is not None else _TOL_DEFAULT
         rows = [_cap_row(r1, r2, e, tol) for e in grid]
         _emit(cfg, _CAP_COLUMNS, rows, _CAP_UNITS)
-    elif cfg.quantity == "resonances":
-        if cfg.delta_grid is None:
-            raise ConfigError("a resonance sweep needs --delta-grid")
-        _emit_delta_sweep(cfg, r1, r2)
     else:
-        raise ConfigError("sweep needs --quantity capacitance or resonances")
+        raise ConfigError(
+            "sweep needs --quantity capacitance; the resonance table over a "
+            "contrast grid is `resonances --delta-grid`"
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -565,11 +583,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-grid", dest="omega_grid", help="lo:hi:n linear grid or comma list")
     p.add_argument("--direction", help="incident direction x,y,z (default 0,0,1)")
 
-    p = sub.add_parser("sweep", help="tabulate a quantity over a parameter grid")
+    p = sub.add_parser(
+        "sweep",
+        help="tabulate the capacitance over a gap grid (the resonance table "
+        "over a contrast grid is `resonances --delta-grid`)",
+    )
     common(p)
-    p.add_argument("--quantity", choices=("capacitance", "resonances"))
+    p.add_argument("--quantity", choices=("capacitance",))
     p.add_argument("--eps-grid", dest="eps_grid", help="lo:hi:n log grid or comma list")
-    p.add_argument("--delta-grid", dest="delta_grid", help="lo:hi:n log grid or comma list")
 
     return top
 

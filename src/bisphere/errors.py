@@ -8,10 +8,6 @@ class TruncationCapError(RuntimeError):
     """
 
 
-class QuadratureConvergenceError(RuntimeError):
-    """Adaptive quadrature failed to converge within the node budget."""
-
-
 class PoleProximityError(RuntimeError):
     """A requested frequency sits inside the guard band of a resonance pole."""
 

@@ -298,34 +298,11 @@ def potential_field(ps: PotentialSeries, xi, theta, phi=None) -> PotentialField:
     return PotentialField(v=v, grad=grad)
 
 
-def _potential_row(j: int) -> int:
-    if j not in (1, 2):
-        raise ValueError(f"potential index must be 1 or 2, got {j}")
-    return j - 1
-
-
 def eval_potential(ps: PotentialSeries, j: int, p: BisphericalPoint) -> float:
     """V_j at a point of the closed exterior strip; interior points error."""
-    row = _potential_row(j)
-    return float(potential_field(ps, [p.xi], [p.theta]).v[row, 0])
-
-
-def eval_mode(n: int, sp: SpectralPair, ps: PotentialSeries, p: BisphericalPoint) -> float:
-    """Eigenmode u_n = d_n V_1 + V_2 at a point of the closed strip."""
-    d_n = _mode_ratio(n, sp)
-    return float(potential_field(ps, [p.xi], [p.theta]).mode(d_n)[0])
-
-
-def eval_grad_potential(
-    ps: PotentialSeries, j: int, p: BisphericalPoint
-) -> np.ndarray:
-    """Cartesian gradient of V_j, analytic term-by-term differentiation.
-
-    Valid on the closed exterior strip, where the boundary value is the
-    one-sided exterior limit; interior points are rejected.
-    """
-    row = _potential_row(j)
-    return potential_field(ps, [p.xi], [p.theta], [p.phi]).grad[row, :, 0]
+    if j not in (1, 2):
+        raise ValueError(f"potential index must be 1 or 2, got {j}")
+    return float(potential_field(ps, [p.xi], [p.theta]).v[j - 1, 0])
 
 
 def eval_grad_mode(

@@ -27,17 +27,19 @@ _MIN_NORMAL_LOG = math.log(2.2250738585072014e-308)
 
 @dataclass(frozen=True)
 class ResonatorPair:
-    """Radii and surface gap of the two spheres (gap > 0, not touching)."""
+    """Radii and surface gap of the two spheres (gap > 0, not touching), all finite."""
 
     r1: float
     r2: float
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not (self.r1 > 0.0 and self.r2 > 0.0):
-            raise ValueError(f"radii must be positive, got r1={self.r1}, r2={self.r2}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"gap must be positive, got epsilon={self.epsilon}")
+        if not (0.0 < self.r1 < math.inf and 0.0 < self.r2 < math.inf):
+            raise ValueError(
+                f"radii must be positive and finite, got r1={self.r1}, r2={self.r2}"
+            )
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"gap must be positive and finite, got epsilon={self.epsilon}")
 
     @property
     def volume1(self) -> float:

@@ -24,12 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacitance import CapacitanceMatrix
-from .errors import QuadratureConvergenceError
 from .fields import PotentialSeries, potential_field
 from .geometry import BisphericalFrame, ResonatorPair
 
 _FOUR_PI = 4.0 * math.pi
 _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)  # B_2 ... B_8
+
+
+class QuadratureConvergenceError(RuntimeError):
+    """Adaptive quadrature failed to converge within the node budget."""
 
 
 @dataclass(frozen=True)

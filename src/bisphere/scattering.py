@@ -12,6 +12,13 @@ where |D| = |D_1| + |D_2|. For equal spheres the numerator of b vanishes
 identically: the antisymmetric mode cannot be excited at leading order
 by a wave that is constant across the pair, which is the screening
 effect probed by the tests.
+
+The amplitudes have one implementation, _amplitudes, over a grid of
+frequencies: modal_coefficients is its grid of one omega and
+response_curve takes the moduli of its rows. Each call checks the grid
+in order, raises at its first bad omega, and issues at most one
+warning for the omegas up to it that lie outside the subwavelength
+regime.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import numpy as np
 from .capacitance import CapacitanceMatrix, rescale
 from .errors import PoleProximityError
 from .fields import PotentialSeries, potential_field
-from .geometry import BisphericalPoint, ResonatorPair, to_bispherical
+from .geometry import ResonatorPair, to_bispherical
 from .spectra import Material, SpectralPair, eigen, resonant_frequencies
 
 # omega^2 within this much of omega_n^2 (relative) is a resonance: a and b raise there
@@ -34,21 +41,14 @@ _POLE_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class IncidentWave:
-    """Plane wave amplitude * exp(i k direction.x) in the background medium."""
+    """Plane wave exp(i k direction.x) of unit amplitude in the background medium."""
 
     omega: float
     direction: np.ndarray
-    amplitude: complex
     k: float
 
     @classmethod
-    def plane_wave(
-        cls,
-        omega: float,
-        direction,
-        material: Material,
-        amplitude: complex = 1.0,
-    ) -> "IncidentWave":
+    def plane_wave(cls, omega: float, direction, material: Material) -> "IncidentWave":
         _check_frequency(omega)
         d = np.asarray(direction, dtype=float)
         if d.shape != (3,):
@@ -56,18 +56,11 @@ class IncidentWave:
         norm = float(np.linalg.norm(d))
         if norm == 0.0:
             raise ValueError("direction must be nonzero")
-        return cls(
-            omega=omega,
-            direction=d / norm,
-            amplitude=complex(amplitude),
-            k=omega / material.v,
-        )
+        return cls(omega=omega, direction=d / norm, k=omega / material.v)
 
     def value(self, x) -> complex:
         x = np.asarray(x, dtype=float)
-        return self.amplitude * complex(
-            np.exp(1j * self.k * float(self.direction @ x))
-        )
+        return complex(np.exp(1j * self.k * float(self.direction @ x)))
 
 
 @dataclass(frozen=True)
@@ -82,8 +75,8 @@ class ModalCoefficients:
 
 
 def _check_frequency(omega: float) -> None:
-    if not omega > 0.0:
-        raise ValueError(f"frequency must be positive, got {omega}")
+    if not 0.0 < omega < math.inf:
+        raise ValueError(f"frequency must be positive and finite, got {omega}")
 
 
 def _square(omega: float) -> float:
@@ -96,43 +89,66 @@ def _square(omega: float) -> float:
         ) from None
 
 
-def _frequencies(
-    cmat: CapacitanceMatrix, pair: ResonatorPair, material: Material
-) -> tuple[float, float]:
+def _amplitudes(
+    cmat: CapacitanceMatrix, pair: ResonatorPair, material: Material, omegas: np.ndarray
+):
+    """a = num_a / den1 and b = num_b / den2 over a grid of frequencies.
+
+    Returns (omega1, omega2, num_a, num_b, b_num, den1, den2) for a plane
+    wave of unit amplitude, u_in(0) = 1; b_num is b's I-part. The
+    spectrum and the numerators are formed once, and the denominators
+    omega^2 - omega_n^2 as arrays over the grid. The grid stops at its
+    first omega that is not positive and finite (ValueError), whose
+    square overflows (OverflowError) or whose square lies within
+    _POLE_GUARD (relative) of omega_n^2 (PoleProximityError). Before it
+    raises or returns, one UserWarning names how many omegas up to the
+    stop have k * max radius > 0.5, and the largest such value.
+    """
     freqs = resonant_frequencies(eigen(rescale(cmat, pair)), material)
-    return freqs.omega1, freqs.omega2
-
-
-def _warn_outside_regime(krad: float, stacklevel: int) -> None:
-    warnings.warn(
-        f"k * max radius = {krad:.3g}; the subwavelength expansion "
-        "degrades well before this",
-        stacklevel=stacklevel + 1,
+    om1, om2 = freqs.omega1, freqs.omega2
+    omega = omegas.tolist()
+    # Python's ** (libm pow), the square these amplitudes have always
+    # used; omegas * omegas need not carry the same last bit
+    try:
+        w2 = np.array([w**2 for w in omega])
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            w2 = np.square(omegas)  # inf where omega^2 overflows, a stop below
+    den1 = w2 - om1**2
+    den2 = w2 - om2**2
+    stops = (
+        ~(omegas > 0.0)
+        | ~np.isfinite(w2)
+        | (np.abs(den1) < _POLE_GUARD * om1**2)
+        | (np.abs(den2) < _POLE_GUARD * om2**2)
     )
-
-
-def _check_poles(den1: float, den2: float, om1: float, om2: float) -> None:
-    if abs(den1) < _POLE_GUARD * om1**2:
-        raise PoleProximityError(
-            f"omega within guard band of the first resonance ({om1:.6g})"
+    end = int(np.argmax(stops)) if stops.any() else len(omega)
+    krad = omegas[: end + 1] / material.v * max(pair.r1, pair.r2)
+    # an infinite omega is refused before its k * max radius counts
+    over = krad[(krad > 0.5) & (krad < math.inf)]
+    if over.size:
+        warnings.warn(
+            f"k * max radius > 0.5 at {over.size} omega, up to {over.max():.3g}; "
+            "the subwavelength expansion degrades well before this",
+            stacklevel=3,
         )
-    if abs(den2) < _POLE_GUARD * om2**2:
+    if end < len(omega):
+        _check_frequency(omega[end])
+        _square(omega[end])
+        if abs(den1[end]) < _POLE_GUARD * om1**2:
+            raise PoleProximityError(
+                f"omega within guard band of the first resonance ({om1:.6g})"
+            )
         raise PoleProximityError(
             f"omega within guard band of the second resonance ({om2:.6g})"
         )
-
-
-def _numerators(
-    cmat: CapacitanceMatrix, pair: ResonatorPair, material: Material, u0: complex
-) -> tuple[complex, complex, complex]:
-    """Numerators of a and b, a = num_a / den1 and b = num_b / den2, and b's I-part."""
+    u0 = 1.0 + 0.0j
     i1 = -u0 * (cmat.c11 + cmat.c12)
     i2 = -u0 * (cmat.c21 + cmat.c22)
     vol1, vol2 = pair.volume1, pair.volume2
-    vol = vol1 + vol2
-    pref = material.delta * material.v_b**2 / vol
+    pref = material.delta * material.v_b**2 / (vol1 + vol2)
     b_num = i1 - (vol1 / vol2) * i2
-    return pref * (i1 + i2), -pref * b_num, b_num
+    return om1, om2, pref * (i1 + i2), -pref * b_num, b_num, den1, den2
 
 
 def modal_coefficients(
@@ -141,24 +157,19 @@ def modal_coefficients(
     material: Material,
     wave: IncidentWave,
 ) -> ModalCoefficients:
-    """Modal amplitudes a, b for one incident wave.
+    """Modal amplitudes a, b for one incident plane wave.
 
     Raises PoleProximityError when omega^2 sits within 1e-12 (relative,
     _POLE_GUARD) of either omega_n^2; the leading-order amplitudes have a
-    genuine pole there and the expansion stops being meaningful.
+    genuine pole there and the expansion stops being meaningful. Warns
+    when k * max radius > 0.5.
     """
-    om1, om2 = _frequencies(cmat, pair, material)
-    krad = wave.k * max(pair.r1, pair.r2)
-    if krad > 0.5:
-        _warn_outside_regime(krad, stacklevel=2)
-    w2 = _square(wave.omega)
-    den1 = w2 - om1**2
-    den2 = w2 - om2**2
-    _check_poles(den1, den2, om1, om2)
-    num_a, num_b, b_num = _numerators(cmat, pair, material, wave.value(np.zeros(3)))
+    om1, om2, num_a, num_b, b_num, den1, den2 = _amplitudes(
+        cmat, pair, material, np.array([wave.omega], dtype=float)
+    )
     return ModalCoefficients(
-        a=num_a / den1,
-        b=num_b / den2,
+        a=num_a / float(den1[0]),
+        b=num_b / float(den2[0]),
         b_numerator=b_num,
         omega1=om1,
         omega2=om2,
@@ -196,50 +207,20 @@ def response_curve(
     """(omega, |a|, |b|) rows over a frequency grid, in one pass over the grid.
 
     Each row equals abs() of modal_coefficients' a and b for a plane
-    wave of unit amplitude at that omega, bit for bit. The spectrum and
-    the numerators of a and b are formed once; only the denominators
-    omega^2 - omega_n^2 vary, and they are evaluated as arrays over the
-    whole grid. Validation keeps the order of a loop over the grid: the
-    first omega and the direction are checked first, each omega with
-    k * max radius > 0.5 then warns once, in grid order, and the first
-    omega that is not positive (ValueError) or lies within 1e-12
-    (relative, in omega^2) of a resonance (PoleProximityError) raises
-    after the warnings of every omega up to it. That is
-    modal_coefficients' guard, so a row exists exactly where
-    modal_coefficients returns.
+    wave at that omega, bit for bit, and a grid raises where the first
+    of its omegas would raise in modal_coefficients. The direction and
+    the first omega are checked first. One call issues at most one
+    warning, for the omegas up to the first that raises whose
+    k * max radius exceeds 0.5.
     """
     omegas = np.fromiter(omega_grid, dtype=float)
     if omegas.size == 0:
         return []
-    wave = IncidentWave.plane_wave(float(omegas[0]), direction, material)
-    om1, om2 = _frequencies(cmat, pair, material)
-    omega = omegas.tolist()
-    krad = omegas / material.v * max(pair.r1, pair.r2)
-    # Python's ** (libm pow), not omegas * omegas, so that den1 and den2
-    # carry the bits of modal_coefficients' _square(wave.omega)
-    try:
-        w2 = np.array([w**2 for w in omega])
-    except OverflowError:
-        for w in omega:
-            _square(w)  # raises for the first omega whose square overflows
-        raise
-    den1 = w2 - om1**2
-    den2 = w2 - om2**2
-    stops = (
-        ~(omegas > 0.0)
-        | (np.abs(den1) < _POLE_GUARD * om1**2)
-        | (np.abs(den2) < _POLE_GUARD * om2**2)
-    )
-    end = int(np.argmax(stops)) if stops.any() else len(omega)
-    for i in np.flatnonzero(krad[: end + 1] > 0.5):
-        _warn_outside_regime(float(krad[i]), stacklevel=1)
-    if end < len(omega):
-        _check_frequency(omega[end])
-        _check_poles(float(den1[end]), float(den2[end]), om1, om2)
-    num_a, num_b, _ = _numerators(cmat, pair, material, wave.value(np.zeros(3)))
+    IncidentWave.plane_wave(float(omegas[0]), direction, material)
+    _, _, num_a, num_b, _, den1, den2 = _amplitudes(cmat, pair, material, omegas)
     # abs(num / den) for a complex num and a float den is
     # hypot(num.real / den, num.imag / den), bit for bit; np.abs of the
     # complex quotient is not
     abs_a = np.hypot(num_a.real / den1, num_a.imag / den1)
     abs_b = np.hypot(num_b.real / den2, num_b.imag / den2)
-    return list(zip(omega, abs_a.tolist(), abs_b.tolist()))
+    return list(zip(omegas.tolist(), abs_a.tolist(), abs_b.tolist()))

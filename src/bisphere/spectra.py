@@ -36,8 +36,10 @@ class Material:
 
     def __post_init__(self) -> None:
         for name in ("rho", "rho_b", "kappa", "kappa_b"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}"
+                )
         if not self.delta < 1.0:
             warnings.warn(
                 f"density contrast delta={self.delta:g} is not small; the "

@@ -1,6 +1,8 @@
 import concurrent.futures
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -390,9 +392,34 @@ def test_jobs_starts_no_worker_process(monkeypatch, capsys, water_air):
     assert blowup_study((1.0, 2.0), water_air, grid, samples=100, jobs=2) == serial
 
 
-def test_sweep_resonances_requires_grid(capsys):
-    rc = run(["sweep", "--quantity", "resonances", "--r1", "1", "--r2", "1"])
-    assert rc == 2
+def test_sweep_quantity_resonances_exits_2(tmp_path, capsys):
+    # the resonance table is `resonances --delta-grid`; sweep tabulates the capacitance
+    argv = ["sweep", "--r1", "1", "--r2", "1", "--delta-grid", "1e-6:1e-2:3", "--beta", "0.5"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv[:1] + ["--quantity", "resonances"] + argv[1:])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"quantity": "resonances", "delta_grid": "1e-6:1e-2:3"}))
+    assert run(["sweep", "--config", str(cfg), "--r1", "1", "--r2", "1", "--beta", "0.5"]) == 2
+    assert "resonances --delta-grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scattering", "--r1", "1", "--r2", "2", "--eps", "0.05",
+         "--omega-grid", "inf", "--format", "json"],
+        ["scattering", "--r1", "1", "--r2", "2", "--eps", "0.05", "--omega-grid", "0.05,nan"],
+        ["resonances", "--r1", "1", "--r2", "2", "--eps", "1e-6", "--rho-b", "inf"],
+        ["resonances", "--r1", "1", "--r2", "2", "--eps", "inf"],
+        ["capacitance", "--r1", "inf", "--r2", "2", "--eps", "0.05"],
+    ],
+)
+def test_non_finite_physical_input_is_config_error(argv, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "finite" in err
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -405,6 +432,40 @@ def test_config_file_with_flag_override(tmp_path):
     assert rc == 0
     row = dict(zip(_header(_read(out)), _data_rows(_read(out))[0]))
     assert float(row["eps"]) == 0.01
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("samples", "200"), ("tol", "1e-3"), ("jobs", "2"), ("r1", True), ("samples", 2.5),
+     ("rho", None), ("points", ["0,0,0", 1]), ("error_json", 1), ("format", 3)],
+)
+def test_config_file_value_of_the_wrong_type_is_named(tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"r1": 1.0, "r2": 2.0, "eps": 0.05, key: value}))
+    rc = run(["capacitance", "--config", str(cfg)])
+    assert rc == 2
+    assert f"config key {key!r} must be" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """The commands of README.md's "Command line" block, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+
+
+def test_readme_command_line_block_runs(tmp_path, capsys):
+    commands = _readme_commands()
+    assert len(commands) == 7
+    for argv in commands:
+        assert argv[0] == "bisphere"
+        argv = argv[1:]
+        if "--out" in argv:
+            k = argv.index("--out") + 1
+            argv[k] = str(tmp_path / argv[k])
+        assert run(argv) == 0, argv
+    assert (tmp_path / "table.csv").exists()
+    assert capsys.readouterr().err == ""
 
 
 def test_config_file_unknown_key(tmp_path, capsys):

@@ -15,8 +15,6 @@ from bisphere import (
     capacitance_exact,
     eigen,
     eval_grad_mode,
-    eval_grad_potential,
-    eval_mode,
     eval_potential,
     frame_from_pair,
     h_decomposition,
@@ -461,19 +459,20 @@ def test_mode_boundary_values(frame_12, series_12, spectral_12):
     for theta in np.linspace(0.3, math.pi, 7):
         on1 = BisphericalPoint(-frame_12.xi1, theta, 0.0)
         on2 = BisphericalPoint(frame_12.xi2, theta, 0.0)
-        assert eval_mode(2, spectral_12, series_12, on1) == pytest.approx(
-            spectral_12.d2, rel=1e-9
-        )
-        assert eval_mode(2, spectral_12, series_12, on2) == pytest.approx(1.0, rel=1e-9)
-        assert eval_mode(1, spectral_12, series_12, on1) == pytest.approx(
-            spectral_12.d1, rel=1e-9
-        )
+        f1 = potential_field(series_12, [on1.xi], [on1.theta])
+        f2 = potential_field(series_12, [on2.xi], [on2.theta])
+        assert f1.mode(spectral_12.d2)[0] == pytest.approx(spectral_12.d2, rel=1e-9)
+        assert f2.mode(spectral_12.d2)[0] == pytest.approx(1.0, rel=1e-9)
+        assert f1.mode(spectral_12.d1)[0] == pytest.approx(spectral_12.d1, rel=1e-9)
 
 
 def test_gradient_matches_finite_differences(frame_12, series_12, spectral_12, rng):
     def field(n):
+        d_n = (spectral_12.d1, spectral_12.d2)[n - 1]
+
         def f(x):
-            return eval_mode(n, spectral_12, series_12, to_bispherical(frame_12, x))
+            b = to_bispherical(frame_12, x)
+            return potential_field(series_12, [b.xi], [b.theta]).mode(d_n)[0]
 
         return f
 
@@ -503,13 +502,12 @@ def test_potential_gradient_matches_fd_and_mode_combination(
             def f(y, j=j):
                 return eval_potential(series_12, j, to_bispherical(frame_12, y))
 
-            ana = eval_grad_potential(series_12, j, b)
+            ana = potential_field(series_12, [b.xi], [b.theta], [b.phi]).grad[j - 1][:, 0]
             num = fd_check_gradient(f, np.asarray(x), 1e-3)
             assert np.allclose(ana, num, rtol=1e-6, atol=1e-9)
 
         # modes are the combinations d_n grad V1 + grad V2
-        g1 = eval_grad_potential(series_12, 1, b)
-        g2 = eval_grad_potential(series_12, 2, b)
+        g1, g2 = potential_field(series_12, [b.xi], [b.theta], [b.phi]).grad[:, :, 0]
         for n, d_n in ((1, spectral_12.d1), (2, spectral_12.d2)):
             gm = eval_grad_mode(n, spectral_12, series_12, b)
             assert np.allclose(gm, d_n * g1 + g2, rtol=1e-12, atol=1e-14)
@@ -517,9 +515,8 @@ def test_potential_gradient_matches_fd_and_mode_combination(
 
 def test_potential_gradient_rejects_interior_points(frame_12, series_12):
     with pytest.raises(ValueError, match="inside resonator"):
-        eval_grad_potential(
-            series_12, 1, to_bispherical(frame_12, CartesianPoint(0.0, 0.0, -1.0))
-        )
+        b = to_bispherical(frame_12, CartesianPoint(0.0, 0.0, -1.0))
+        potential_field(series_12, [b.xi], [b.theta], [b.phi])
 
 
 def _kelvin_images(r1, r2, eps, j):
@@ -589,7 +586,7 @@ def test_gap_axis_gradient_meets_its_bound_against_kelvin_images(eps):
         x3s = [frame.alpha * mpmath.tanh(mpmath.mpf(xi) / 2) for xi in xis]
     want = _kelvin_axis_grad_v(1.0, 2.0, eps, 1, x3s)
     for f, xi, w in zip(fracs, xis, want):
-        got = eval_grad_potential(ps, 1, BisphericalPoint(xi, math.pi, 0.0))
+        got = potential_field(ps, [xi], [math.pi], [0.0]).grad[0][:, 0]
         err = frame.alpha * math.hypot(got[0], got[1], got[2] - w)
         assert err <= tol, f"gap fraction {f}: alpha * error {err:.2e}"
 
@@ -609,7 +606,7 @@ def test_far_gradient_near_the_axis_against_kelvin_images():
         b = to_bispherical(frame, CartesianPoint(*x))
         for j in (1, 2):
             want = _kelvin_grad_v(1.0, 2.0, 0.05, j, x)
-            got = eval_grad_potential(ps, j, b)
+            got = potential_field(ps, [b.xi], [b.theta], [b.phi]).grad[j - 1][:, 0]
             err = frame.alpha * np.linalg.norm(got - want)
             assert err <= tol, f"x = {x}, V_{j}: alpha * error {err:.2e}"
             assert np.linalg.norm(got - want) <= 3e-15 * np.linalg.norm(want)
@@ -658,7 +655,7 @@ def test_h_decomposition_symmetric_structure(pair_sym, frame_sym):
 def _mode_minus_combination(frame, series, sp, dec, h2_fn, n, points):
     out = []
     for b in points:
-        u = eval_mode(n, sp, series, b)
+        u = potential_field(series, [b.xi], [b.theta]).mode((sp.d1, sp.d2)[n - 1])[0]
         h1 = eval_potential(series, 1, b) + eval_potential(series, 2, b)
         out.append(u - dec.a_reg * h1 - dec.b_sing * h2_fn(b))
     return np.array(out)
@@ -673,7 +670,7 @@ def test_h_decomposition_reconstructs_modes_pointwise(
 
     # recover the singular profile from mode 2, then check mode 1 against it
     def h2_from_mode2(b):
-        u = eval_mode(2, spectral_12, series_12, b)
+        u = potential_field(series_12, [b.xi], [b.theta]).mode(spectral_12.d2)[0]
         h1 = eval_potential(series_12, 1, b) + eval_potential(series_12, 2, b)
         return (u - dec2.a_reg * h1) / dec2.b_sing
 

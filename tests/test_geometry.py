@@ -61,6 +61,13 @@ def test_pair_validation():
         ResonatorPair(1.0, 2.0, 0.0)
     with pytest.raises(ValueError):
         ResonatorPair(1.0, 2.0, -0.05)
+    # a non-finite radius or gap is refused by name, not by a later check
+    for bad in (math.inf, math.nan):
+        for args in ((bad, 2.0, 0.1), (1.0, bad, 0.1)):
+            with pytest.raises(ValueError, match="radii must be positive and finite"):
+                ResonatorPair(*args)
+        with pytest.raises(ValueError, match="gap must be positive and finite"):
+            ResonatorPair(1.0, 2.0, bad)
 
 
 def test_volumes():

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from bisphere import (
-    QuadratureConvergenceError,
     ResonatorPair,
     capacitance_exact,
     frame_from_pair,
     potential_series,
 )
 from bisphere.oracle import (
+    QuadratureConvergenceError,
     fd_check_gradient,
     fd_check_laplacian,
     flux_quadrature,

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -24,12 +25,13 @@ Z = np.array([0.0, 0.0, 1.0])
 
 
 def _wave(omega, material, direction=Z):
-    return IncidentWave.plane_wave(omega, direction, material, 1.0)
+    return IncidentWave.plane_wave(omega, direction, material)
 
 
 def test_plane_wave_validation(water_air):
-    with pytest.raises(ValueError):
-        IncidentWave.plane_wave(0.0, Z, water_air)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="frequency must be positive and finite"):
+            IncidentWave.plane_wave(bad, Z, water_air)
     with pytest.raises(ValueError):
         IncidentWave.plane_wave(1.0, [0.0, 0.0, 0.0], water_air)
     w = IncidentWave.plane_wave(2.0, [0.0, 0.0, 5.0], water_air)
@@ -177,7 +179,9 @@ def test_response_curve_warns_outside_subwavelength_regime(water_air):
     with pytest.warns(UserWarning, match="k \\* max radius") as caught:
         rows = response_curve(cmat, pair, water_air, grid, Z)
     assert len(rows) == 3
-    assert len(caught) == 3
+    # one warning per call, naming how many omegas and the largest k r2
+    assert len(caught) == 1
+    assert "at 3 omega, up to 1.2;" in str(caught[0].message)
 
 
 def _loop_rows(cmat, pair, material, grid, direction):
@@ -196,9 +200,34 @@ def _recorded(fn, *args):
         warnings.simplefilter("always")
         try:
             out = fn(*args)
-        except (ValueError, PoleProximityError) as exc:
+        except (ValueError, OverflowError, PoleProximityError) as exc:
             out = (type(exc), str(exc))
     return out, [(w.category, str(w.message)) for w in caught]
+
+
+def _one_warning(loop_warnings):
+    """What response_curve warns where the loop of modal_coefficients warned loop_warnings.
+
+    The loop warns once per omega beyond k * max radius = 0.5, each naming
+    its own value; response_curve warns once, with their count and maximum.
+    """
+    if not loop_warnings:
+        return []
+    assert all(cat is UserWarning and "at 1 omega" in msg for cat, msg in loop_warnings)
+    top = max((re.search(r"up to (\S+);", msg).group(1) for _, msg in loop_warnings), key=float)
+    return [(
+        UserWarning,
+        f"k * max radius > 0.5 at {len(loop_warnings)} omega, up to {top}; "
+        "the subwavelength expansion degrades well before this",
+    )]
+
+
+def _assert_matches_loop(cmat, pair, material, grid, direction):
+    """response_curve's rows and error equal the loop's, rows bit for bit; its warning sums the loop's."""
+    got = _recorded(response_curve, cmat, pair, material, grid, direction)
+    rows, loop_warnings = _recorded(_loop_rows, cmat, pair, material, grid, direction)
+    assert got == (rows, _one_warning(loop_warnings))
+    return got, loop_warnings
 
 
 @pytest.mark.parametrize("eps", [0.1, 1e-5, 1e-10])
@@ -211,9 +240,8 @@ def test_response_curve_rows_equal_a_per_omega_loop(radii, eps, water_air):
     # still outside the pole guard of 1e-12 relative in omega^2
     offs = np.concatenate([np.linspace(-0.1, 0.1, 196), [-1e-9, -1e-11, 1e-11, 1e-9]])
     grid = np.concatenate([freqs.omega1 * (1.0 + offs), freqs.omega2 * (1.0 + offs)])
-    got = _recorded(response_curve, cmat, pair, water_air, grid, Z)
+    got, _ = _assert_matches_loop(cmat, pair, water_air, grid, Z)
     assert len(got[0]) == 400
-    assert got == _recorded(_loop_rows, cmat, pair, water_air, grid, Z)
 
 
 def test_response_curve_warnings_and_errors_follow_the_grid_order(water_air):
@@ -222,6 +250,8 @@ def test_response_curve_warnings_and_errors_follow_the_grid_order(water_air):
     cmat = capacitance_exact(frame_from_pair(pair))
     freqs = resonant_frequencies(eigen(rescale(cmat, pair)), water_air)
     om1, om2 = freqs.omega1, freqs.omega2
+    # n_warn counts the loop's warnings, one per omega beyond k r2 = 0.5
+    # up to the first that raises; response_curve issues one for them all
     cases = [
         # crosses k r2 = 0.5 both ways: warnings for 0.3, 0.26 and 0.4 only
         ([0.2, 0.3, 0.24, 0.26, 0.1, 0.4], Z, 3),
@@ -232,21 +262,26 @@ def test_response_curve_warnings_and_errors_follow_the_grid_order(water_air):
         ([0.3, 0.1, 0.0, 0.4], Z, 1),
         ([0.3, -0.2], Z, 1),
         ([0.0, 0.3], Z, 0),
+        # a frequency that is not finite raises before its own k r2 counts
+        ([0.3, 0.1, math.inf, 0.4], Z, 1),
+        ([0.3, 0.35, math.nan], Z, 2),
+        ([math.inf, 0.3], Z, 0),
+        # an omega whose square overflows raises after its own warning,
+        # unless an earlier omega raises first
+        ([0.3, 0.1, 1e200, om1], Z, 2),
+        ([0.1, om1, 1e200], Z, 0),
         # a zero direction
         ([0.1, 0.3], [0.0, 0.0, 0.0], 0),
     ]
     for grid, direction, n_warn in cases:
-        got = _recorded(response_curve, cmat, pair, water_air, grid, direction)
-        want = _recorded(_loop_rows, cmat, pair, water_air, grid, direction)
-        assert got == want
-        assert len(got[1]) == n_warn
-        assert all(cat is UserWarning for cat, _ in got[1])
+        got, loop_warnings = _assert_matches_loop(cmat, pair, water_air, grid, direction)
+        assert len(loop_warnings) == n_warn
+        assert len(got[1]) == min(n_warn, 1)
     # with v = 0.1 the resonance itself lies beyond k r2 = 0.5: it warns, then raises
     slow = Material(rho=1.0, rho_b=1e-3, kappa=1e-2, kappa_b=1e-3)
     om1_slow = resonant_frequencies(eigen(rescale(cmat, pair)), slow).omega1
     assert 2.0 * om1_slow / slow.v > 0.5
-    got = _recorded(response_curve, cmat, pair, slow, [0.01, om1_slow, 0.2], Z)
-    assert got == _recorded(_loop_rows, cmat, pair, slow, [0.01, om1_slow, 0.2], Z)
+    got, _ = _assert_matches_loop(cmat, pair, slow, [0.01, om1_slow, 0.2], Z)
     assert got[0][0] is PoleProximityError and len(got[1]) == 1
     with pytest.raises(PoleProximityError):
         response_curve(cmat, pair, water_air, [0.1, om1], Z)
@@ -254,6 +289,8 @@ def test_response_curve_warnings_and_errors_follow_the_grid_order(water_air):
         response_curve(cmat, pair, water_air, [0.1], [0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="frequency"):
         response_curve(cmat, pair, water_air, [0.1, -0.1], Z)
+    with pytest.raises(ValueError, match="positive and finite, got inf"):
+        response_curve(cmat, pair, water_air, [0.1, math.inf], Z)
 
 
 def test_overflowing_omega_squared_is_named(pair_12, cap_12, water_air):

@@ -27,6 +27,11 @@ def test_material_validation():
         Material(rho=0.0, rho_b=1e-3, kappa=1.0, kappa_b=1e-3)
     with pytest.raises(ValueError):
         Material(rho=1.0, rho_b=-1e-3, kappa=1.0, kappa_b=1e-3)
+    base = dict(rho=1.0, rho_b=1e-3, kappa=1.0, kappa_b=1e-3)
+    for name in base:
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                Material(**{**base, name: bad})
 
 
 def test_eigen_trace_and_determinant(cap_12, pair_12, spectral_12):
