@@ -59,7 +59,6 @@ from .scattering import (
 )
 from .specfun import (
     GAMMA_EULER,
-    digamma,
     digamma_series_tail,
 )
 from .spectra import (
@@ -99,7 +98,6 @@ __all__ = [
     "capacitance_asymptotic_rescaled",
     "capacitance_exact",
     "classify",
-    "digamma",
     "digamma_series_tail",
     "eigen",
     "epsilon_from_regime",

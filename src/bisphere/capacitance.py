@@ -26,8 +26,7 @@ import numpy as np
 
 from .errors import TruncationCapError
 from .geometry import BisphericalFrame, ResonatorPair, frame_from_pair
-from .specfun import _HEAD, GAMMA_EULER, _em_remainder, _em_tails, _kernel, digamma
-from .specfun import digamma_series_tail
+from .specfun import _HEAD, GAMMA_EULER, _em_remainder, _em_tails, _kernel, digamma_series_tail
 
 DEFAULT_TERM_CAP = 100_000_000
 
@@ -176,27 +175,31 @@ def rescale(c: CapacitanceMatrix, pair: ResonatorPair) -> RescaledCapacitance:
 def sigma_terms(frame: BisphericalFrame, pair: ResonatorPair) -> SigmaTerms:
     """Correction terms sigma_i = 3 alpha / (r_i^3 s) * sum z_i/(n(n-z_i)).
 
-    Here s = xi1 + xi2 and z_i = 1 - xi_i / s. The rescaled row sum
-    ct11 + ct12 equals sigma1 up to O(sqrt(eps)), which is what makes
-    these the O(1) part of the small eigenvalue near touching.
+    Here s = xi1 + xi2 and z_i = 1 - xi_i / s = xi_j / s, which the tail
+    takes as the pair (xi_j, xi_i), so 1 - z_i is never a difference. The
+    rescaled row sum ct11 + ct12 equals sigma1 up to O(sqrt(eps)), which
+    is what makes these the O(1) part of the small eigenvalue near
+    touching.
     """
     s = frame.xi1 + frame.xi2
-    z1 = 1.0 - frame.xi1 / s
-    z2 = 1.0 - frame.xi2 / s
     factor = 3.0 * frame.alpha / s
     return SigmaTerms(
-        sigma1=factor / pair.r1**3 * digamma_series_tail(z1),
-        sigma2=factor / pair.r2**3 * digamma_series_tail(z2),
+        sigma1=factor / pair.r1**3 * digamma_series_tail(frame.xi2, frame.xi1),
+        sigma2=factor / pair.r2**3 * digamma_series_tail(frame.xi1, frame.xi2),
     )
 
 
 def capacitance_asymptotic_rescaled(pair: ResonatorPair) -> RescaledCapacitance:
     """Leading-order rescaled coefficients for a small gap.
 
-    ct11 = 3 alpha / (r1^3 s) * (log(2/s) - psi(xi1/s)), the off-diagonal
-    uses psi(1) = -gamma. The remainder is O(sqrt(eps)); a warning is
-    emitted once the gap is clearly outside the asymptotic regime and the
-    evaluation refuses to run for s >= 2 where log(2/s) changes sign.
+    ct11 = f1 (log(2/s) - psi(xi1/s)) with f1 = 3 alpha / (r1^3 s), and
+    the off-diagonal uses psi(1) = -gamma. With psi(xi1/s) = -gamma -
+    digamma_series_tail(xi2, xi1) this is ct11 = f1 (log(2/s) + gamma)
+    + sigma1 and ct12 = -f1 (log(2/s) + gamma), so each row sums to its
+    sigma term by construction. The remainder against the exact
+    coefficients is O(sqrt(eps)); a warning is emitted once the gap is
+    clearly outside the asymptotic regime and the evaluation refuses to
+    run for s >= 2 where log(2/s) changes sign.
     """
     frame = frame_from_pair(pair)
     s = frame.xi1 + frame.xi2
@@ -210,15 +213,14 @@ def capacitance_asymptotic_rescaled(pair: ResonatorPair) -> RescaledCapacitance:
             "capacitance formulas are crude this far from touching",
             stacklevel=2,
         )
-    log2s = math.log(2.0 / s)
     f1 = 3.0 * frame.alpha / (pair.r1**3 * s)
     f2 = 3.0 * frame.alpha / (pair.r2**3 * s)
-    off = log2s + GAMMA_EULER  # log(2/s) - psi(1)
+    off = math.log(2.0 / s) + GAMMA_EULER  # log(2/s) - psi(1)
     return RescaledCapacitance(
-        ct11=f1 * (log2s - digamma(frame.xi1 / s)),
+        ct11=f1 * (off + digamma_series_tail(frame.xi2, frame.xi1)),
         ct12=-f1 * off,
         ct21=-f2 * off,
-        ct22=f2 * (log2s - digamma(frame.xi2 / s)),
+        ct22=f2 * (off + digamma_series_tail(frame.xi1, frame.xi2)),
         vol1=pair.volume1,
         vol2=pair.volume2,
     )

@@ -144,8 +144,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
     if cfg.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {cfg.jobs}")
-    if cfg.tol is not None and not cfg.tol > 0.0:
-        raise ConfigError(f"tol must be positive, got {cfg.tol}")
+    if cfg.tol is not None and not 0.0 < cfg.tol < math.inf:
+        raise ConfigError(f"tol must be positive and finite, got {cfg.tol}")
     return cfg
 
 
@@ -241,6 +241,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _json_value(v):
+    """v, or None for a non-finite float, which JSON has no number for."""
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _emit(cfg, columns, rows, units, comments=(), summary=None) -> None:
     h = _config_hash(cfg)
     if cfg.format == "csv":
@@ -254,22 +259,15 @@ def _emit(cfg, columns, rows, units, comments=(), summary=None) -> None:
         lines.extend(f"# {c}" for c in comments)
         text = "\n".join(lines) + "\n"
     else:
-        clean_rows = [
-            [None if isinstance(v, float) and math.isnan(v) else v for v in row]
-            for row in rows
-        ]
         obj = {
             "version": __version__,
             "config_hash": h,
             "units": units,
             "columns": columns,
-            "rows": clean_rows,
+            "rows": [[_json_value(v) for v in row] for row in rows],
         }
         if summary is not None:
-            obj["summary"] = {
-                k: (None if isinstance(v, float) and math.isnan(v) else v)
-                for k, v in summary.items()
-            }
+            obj["summary"] = {k: _json_value(v) for k, v in summary.items()}
         text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:

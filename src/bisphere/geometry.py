@@ -225,5 +225,5 @@ def _check_regime(delta: float, beta: float, c0: float) -> None:
         raise ValueError(f"contrast delta must lie in (0, 1), got {delta}")
     if not 0.0 < beta < 1.0:
         raise ValueError(f"regime exponent beta must lie in (0, 1), got {beta}")
-    if not c0 > 0.0:
-        raise ValueError(f"regime scale c0 must be positive, got {c0}")
+    if not 0.0 < c0 < math.inf:
+        raise ValueError(f"regime scale c0 must be positive and finite, got {c0}")

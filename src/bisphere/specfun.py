@@ -1,11 +1,13 @@
 """Special functions used by the series and the gap asymptotics.
 
-The digamma function, the partial-fraction tail sum(z / (n(n - z))) that
-links the digamma function to the capacitance asymptotics, and the image
-kernel G(w) = (2 (cosh w - cos theta))^{-1/2} with its Euler-Maclaurin
-tail, which `fields` sums at every theta and `capacitance` at theta = 0.
-The kernel and the tail form G, dG/dw and sin(theta) G^3 as rows, and
-each caller asks for the rows it reads.
+The partial-fraction tail sum(z / (n(n - z))) = -gamma - psi(1 - z), the
+package's one digamma, which takes z and 1 - z as p / (p + q) and
+q / (p + q) so that the capacitance asymptotics and the sigma terms keep
+their digits at any radius ratio; and the image kernel
+G(w) = (2 (cosh w - cos theta))^{-1/2} with its Euler-Maclaurin tail,
+which `fields` sums at every theta and `capacitance` at theta = 0. The
+kernel and the tail form G, dG/dw and sin(theta) G^3 as rows, and each
+caller asks for the rows it reads.
 
 The batch policy of those sums lives here too. A batch of N points
 sends up to _STACK // N head images through one kernel call
@@ -28,54 +30,37 @@ from scipy.special import zeta as _hurwitz_zeta
 # Euler-Mascheroni constant, correct to double precision
 GAMMA_EULER = 0.5772156649015329
 
-# digamma asymptotic series in w = 1/z^2 (Bernoulli terms), valid z >= 10
-_DIGAMMA_ASYMP = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0)
-
 # digamma_series_tail: the first _TAIL_HEAD terms are summed directly, the
-# rest as sum_{j>=2} z^(j-1) zeta(j, _TAIL_HEAD + 1) for j < _TAIL_ORDERS;
+# rest as sum_{j>=2} z^(j-1) zeta(j, _TAIL_HEAD + 1) for j <= _TAIL_ORDERS;
 # each order shrinks by a factor z/(_TAIL_HEAD + 1), so the first omitted
-# one is below (z/65)^28 of the j = 2 term
-_TAIL_HEAD = 64
-_TAIL_ORDERS = 30
-_HEAD_N = np.arange(1.0, _TAIL_HEAD + 1.0)
-_TAIL_POWERS = np.arange(1.0, _TAIL_ORDERS - 1.0)  # j - 1 for j = 2 ... 29
-_TAIL_ZETA = _hurwitz_zeta(_TAIL_POWERS + 1.0, _TAIL_HEAD + 1.0)
+# one is below (z/17)^14 of the j = 2 term
+_TAIL_HEAD = 16
+_TAIL_ORDERS = 15
+_TAIL_ZETA = tuple(_hurwitz_zeta(np.arange(2.0, _TAIL_ORDERS + 1.0), _TAIL_HEAD + 1.0).tolist())
 
 
-def digamma(z: float) -> float:
-    """Digamma function for real z > 0.
+def digamma_series_tail(p: float, q: float) -> float:
+    """sum_{n>=1} z / (n (n - z)) with z = p / (p + q), to a few ulps relative.
 
-    Upward recurrence psi(z) = psi(z+1) - 1/z until z >= 10, then the
-    standard asymptotic series. Absolute accuracy is well below 1e-12 on
-    (0, 10].
+    This is -gamma - psi(1 - z) for p and q positive and finite. z and
+    1 - z = q / (p + q) each take one division, so 1 - z is never formed
+    by a subtraction: the n = 1 term z / (1 - z) keeps its digits as
+    z -> 1, and every term keeps its digits as z -> 0. The first 16 terms
+    are summed directly, the remainder is re-expanded as the Hurwitz-zeta
+    series sum_{j>=2} z^(j-1) zeta(j, 17), whose orders fall by a factor
+    z/17 each, and all of it is added exactly rounded (math.fsum).
     """
-    if not z > 0.0:
-        raise ValueError(f"digamma requires z > 0, got {z}")
-    acc = 0.0
-    while z < 10.0:
-        acc -= 1.0 / z
-        z += 1.0
-    w = 1.0 / (z * z)
-    series = 0.0
-    for coef in reversed(_DIGAMMA_ASYMP):
-        series = w * (coef + series)
-    return acc + math.log(z) - 0.5 / z - series
-
-
-def digamma_series_tail(z: float) -> float:
-    """sum_{n>=1} z / (n (n - z)) for 0 < z < 1, to a few ulps relative.
-
-    This is -gamma - psi(1 - z), but the direct difference cancels for
-    small z. The first 64 terms are summed exactly rounded (math.fsum);
-    the remainder is re-expanded as sum_{j>=2} z^(j-1) zeta(j, 65), a
-    Hurwitz-zeta series whose terms fall by a factor z/65 each, so the
-    quadratic decay of the terms never forces a long direct sum.
-    """
-    if not 0.0 < z < 1.0:
-        raise ValueError(f"tail sum requires z in (0, 1), got {z}")
-    head = z / (_HEAD_N * (_HEAD_N - z))
-    tail = np.power(z, _TAIL_POWERS) * _TAIL_ZETA
-    return math.fsum(head.tolist() + tail.tolist())
+    total = p + q
+    if not (p > 0.0 and q > 0.0 and total < math.inf):
+        raise ValueError(f"tail sum needs p and q positive with a finite sum, got {p}, {q}")
+    z = p / total
+    terms = [z / (n * (n - z)) for n in range(2, _TAIL_HEAD + 1)]
+    terms.append(z / (q / total))
+    rest = 0.0
+    for zeta in reversed(_TAIL_ZETA):
+        rest = rest * z + zeta
+    terms.append(z * rest)
+    return math.fsum(terms)
 
 
 # --------------------------------------------------------------------------

@@ -146,7 +146,9 @@ def resonance_asymptotic(
     with the identical-sphere special case keeping its extra additive
     constant 2 gamma + 2 log 2 inside the logarithm. omega1 comes from
     the gap-stable eigenvalue
-        lambda1 = (r1^3 sigma1 + r2^3 sigma2) / (r1^3 + r2^3).
+        lambda1 = (r1^3 sigma1 + r2^3 sigma2) / (r1^3 + r2^3),
+    whose touching limit, for a bare pair, takes the tails at
+    z_i = r_i / (r1 + r2) as digamma_series_tail(r_i, r_j).
     """
     if isinstance(pair, ResonatorPair):
         r1, r2 = pair.r1, pair.r2
@@ -166,8 +168,8 @@ def resonance_asymptotic(
         log_eps = math.log(pair.epsilon)
     else:
         alpha_over_s = r1 * r2 / (r1 + r2)
-        t1 = digamma_series_tail(r1 / (r1 + r2))
-        t2 = digamma_series_tail(r2 / (r1 + r2))
+        t1 = digamma_series_tail(r1, r2)
+        t2 = digamma_series_tail(r2, r1)
         lam1 = 3.0 * alpha_over_s * (t1 + t2) / (r1**3 + r2**3)
 
     if r1 == r2:

@@ -6,7 +6,9 @@ that every operation ran and matched its reference: the deepest blow-up
 maximum, the potentials and mode gradients at general points against
 Kelvin images, the capacitance, spectra and response-curve cells
 (response peaks on the resonances, |b| = 0 for equal spheres) against
-mpmath image sums, and the output of cold `bisphere` processes."""
+mpmath image sums, and the output of cold `bisphere` processes. One
+traced spectra_ladder run checks that the span tracer still wraps the
+functions it times and reports every per-layer metric of BENCHMARK.json."""
 
 import json
 import subprocess
@@ -16,9 +18,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _smoke_run(workload):
+def _smoke_run(workload, trace=0):
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "7",
-           "--seconds", "1", "--trace", "0", "--smoke"]
+           "--seconds", "1", "--trace", str(trace), "--smoke"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -51,3 +53,9 @@ def test_cli_session_smoke_run_is_correct():
     result = _smoke_run("cli_session")
     assert result["attempted"] > 0
     assert result["failed"] == 0
+
+
+def test_traced_spectra_ladder_smoke_run_reports_the_per_layer_metrics():
+    result = _smoke_run("spectra_ladder", trace=1)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert list(result["metrics"]) == [m["name"] for m in spec["per_layer"]]

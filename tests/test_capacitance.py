@@ -134,6 +134,48 @@ def test_sigma_terms_match_diagonal_minus_offdiagonal():
     assert ct.ct21 + ct.ct22 == pytest.approx(st_.sigma2, rel=2e-2)
 
 
+_RADII = [(1.0, 1.0), (1.0, 2.0), (7.3, 0.2), (1.0, 1e3), (1e3, 1.0), (1.0, 1e6), (1e6, 1.0)]
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-12, 1e-100])
+@pytest.mark.parametrize("radii", _RADII)
+def test_sigma_terms_against_mpmath(radii, eps):
+    # sigma_i = 3 alpha / (r_i^3 s) sum z_i / (n (n - z_i)), z_i = xi_j / s, at
+    # 50 digits from the frame's own alpha and xi; the sum is -gamma - psi(1 - z_i)
+    # = -gamma - psi(xi_i / s), which cancels by at most 7 of those digits here
+    pair = ResonatorPair(*radii, eps)
+    frame = frame_from_pair(pair)
+    st_ = sigma_terms(frame, pair)
+    with mpmath.workdps(50):
+        alpha, xi1, xi2 = (mpmath.mpf(v) for v in (frame.alpha, frame.xi1, frame.xi2))
+        s = xi1 + xi2
+        for r, xi, got in ((radii[0], xi1, st_.sigma1), (radii[1], xi2, st_.sigma2)):
+            tail = -mpmath.euler - mpmath.digamma(xi / s)
+            want = float(3 * alpha / (mpmath.mpf(r) ** 3 * s) * tail)
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-12, 1e-100])
+@pytest.mark.parametrize("radii", _RADII)
+def test_asymptotic_capacitance_against_mpmath(radii, eps):
+    # ct_ii = f_i (log(2/s) - psi(xi_i / s)) and ct_ij = f_i (psi(1) - log(2/s)),
+    # f_i = 3 alpha / (r_i^3 s), at 50 digits from the frame's own alpha and xi
+    pair = ResonatorPair(*radii, eps)
+    frame = frame_from_pair(pair)
+    asym = capacitance_asymptotic_rescaled(pair)
+    with mpmath.workdps(50):
+        alpha, xi1, xi2 = (mpmath.mpf(v) for v in (frame.alpha, frame.xi1, frame.xi2))
+        s = xi1 + xi2
+        log2s = mpmath.log(2 / s)
+        for r, xi, diag, off in ((radii[0], xi1, asym.ct11, asym.ct12),
+                                 (radii[1], xi2, asym.ct22, asym.ct21)):
+            f = 3 * alpha / (mpmath.mpf(r) ** 3 * s)
+            want_diag = float(f * (log2s - mpmath.digamma(xi / s)))
+            want_off = float(f * (mpmath.digamma(1) - log2s))
+            assert diag == pytest.approx(want_diag, rel=1e-15, abs=0.0)
+            assert off == pytest.approx(want_off, rel=1e-15, abs=0.0)
+
+
 def test_matrix_validation_rejects_bad_signs():
     from bisphere import CapacitanceMatrix
 

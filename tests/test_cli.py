@@ -18,7 +18,7 @@ from bisphere import (
     rescale,
     to_bispherical,
 )
-from bisphere.cli import run
+from bisphere.cli import RunConfig, _emit, run
 
 
 def _read(path):
@@ -413,6 +413,9 @@ def test_sweep_quantity_resonances_exits_2(tmp_path, capsys):
         ["resonances", "--r1", "1", "--r2", "2", "--eps", "1e-6", "--rho-b", "inf"],
         ["resonances", "--r1", "1", "--r2", "2", "--eps", "inf"],
         ["capacitance", "--r1", "inf", "--r2", "2", "--eps", "0.05"],
+        ["capacitance", "--r1", "1", "--r2", "2", "--eps", "0.05", "--tol", "inf"],
+        ["resonances", "--r1", "1", "--r2", "1", "--delta-grid", "1e-3:1e-2:2",
+         "--beta", "0.5", "--c0", "inf"],
     ],
 )
 def test_non_finite_physical_input_is_config_error(argv, capsys):
@@ -420,6 +423,20 @@ def test_non_finite_physical_input_is_config_error(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "finite" in err
+
+
+def test_non_finite_cells_are_null_in_json_and_unchanged_in_csv(capsys):
+    def refuse(name):
+        raise AssertionError(f"{name} is not JSON")
+
+    row = [1.5, math.inf, -math.inf, math.nan, 3]
+    summary = {"a": math.inf, "b": -math.inf, "c": math.nan, "d": 2.0}
+    _emit(RunConfig(format="json"), list("vwxyz"), [row], {}, summary=summary)
+    doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert doc["rows"] == [[1.5, None, None, None, 3]]
+    assert doc["summary"] == {"a": None, "b": None, "c": None, "d": 2.0}
+    _emit(RunConfig(), list("vwxyz"), [row], {}, summary=summary)
+    assert _data_rows(capsys.readouterr().out) == [["1.5", "inf", "-inf", "nan", "3"]]
 
 
 def test_config_file_with_flag_override(tmp_path):

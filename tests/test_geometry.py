@@ -253,3 +253,5 @@ def test_regime_parameter_validation():
         epsilon_from_regime(-1e-3, 0.5, 1.0)
     with pytest.raises(ValueError):
         epsilon_from_regime(1e-3, 0.5, -2.0)
+    with pytest.raises(ValueError, match="finite"):
+        log_epsilon_from_regime(0.1, 0.5, math.inf)
