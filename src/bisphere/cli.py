@@ -4,12 +4,16 @@ Each table has one command: `sweep --quantity capacitance` tabulates the
 capacitance over a gap grid, and `resonances --delta-grid` the resonant
 frequencies over a contrast grid.
 
+Each command takes only the flags it reads (_COMMANDS), and its config
+file only the same keys: any other flag or key exits 2 and is named.
+
 Output is deterministic: identical configs produce byte-identical files.
 CSV carries a #-prefixed header block (tool version, config hash, column
 units) and no timestamps; JSON mirrors the same schema with sorted keys.
-Exit codes: 0 success, 2 invalid configuration (a config-file value of
-the wrong type, a non-finite or non-positive physical input), 3 numerical
-failure (truncation cap, pole guard, regime underflow, overflow).
+Exit codes: 0 success, 2 invalid configuration (a flag or config key the
+command does not read, a config-file value of the wrong type, a
+non-finite or non-positive physical input), 3 numerical failure
+(truncation cap, pole guard, regime underflow, overflow).
 
 Every cell of a sweep or blow-up study runs in the calling process;
 `--jobs` is accepted for compatibility and has no effect.
@@ -22,7 +26,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -132,14 +136,18 @@ def _load_config(path: str) -> dict:
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's keys, then the flags; both only the command's own."""
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    # the parser sets the dest of each of the command's flags, given or not
+    keys = set(vars(args)) - {"command", "config"}
+    if args.config:
         for key, val in _load_config(args.config).items():
+            if key not in keys:
+                raise ConfigError(f"config key {key!r} is not a flag of {args.command}")
             setattr(cfg, key, val)
-    for key in _CONFIG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None and val != []:
-            setattr(cfg, key, val)
+    for key in keys:
+        if getattr(args, key) is not None:
+            setattr(cfg, key, getattr(args, key))
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
     if cfg.jobs < 1:
@@ -155,14 +163,10 @@ def _require_radii(cfg: RunConfig) -> tuple[float, float]:
     return float(cfg.r1), float(cfg.r2)
 
 
-def _regime_given(cfg: RunConfig) -> bool:
-    return cfg.beta is not None or cfg.c0 is not None
-
-
 def _resolve_epsilon(cfg: RunConfig) -> float:
     """Exactly one of a literal gap or a regime triple must be given."""
     if cfg.eps is not None:
-        if _regime_given(cfg):
+        if any(v is not None for v in (cfg.delta, cfg.beta, cfg.c0)):
             raise ConfigError("give either --eps or the regime (--delta --beta --c0), not both")
         if not cfg.eps > 0.0:
             raise ConfigError(f"eps must be positive, got {cfg.eps}")
@@ -331,10 +335,8 @@ def cmd_capacitance(cfg: RunConfig) -> None:
     _emit(cfg, _CAP_COLUMNS, [row], _CAP_UNITS)
 
 
-def _resonance_row(
-    r1: float, r2: float, delta: float, beta: float, c0: float
-) -> list[float]:
-    """One regime-sweep row.
+def _resonance_row(r1: float, r2: float, cfg: RunConfig, tol: float) -> list[float]:
+    """One regime-sweep row, at the contrast cfg.delta, with a regime row's material.
 
     The exact route needs the gap to be representable as a float AND an
     n-series count (roughly 1/sqrt(eps) terms) within the capacitance cap;
@@ -343,22 +345,22 @@ def _resonance_row(
     That is the point of the sweep: the closed form keeps working where
     the exact route is refused.
     """
-    m = Material(rho=1.0, rho_b=delta, kappa=1.0, kappa_b=delta)
-    log_eps = log_epsilon_from_regime(delta, beta, c0)
+    m = _material(cfg)
+    log_eps = log_epsilon_from_regime(cfg.delta, cfg.beta, 1.0 if cfg.c0 is None else cfg.c0)
     asym = resonance_asymptotic((r1, r2), m, log_eps=log_eps)
     eps, o1e, o2e = math.nan, math.nan, math.nan
     if log_eps > math.log(2.3e-308):
         try:
             pair = ResonatorPair(r1, r2, math.exp(log_eps))
             frame = frame_from_pair(pair)
-            sp = eigen(rescale(capacitance_exact(frame, tol=1e-12), pair))
+            sp = eigen(rescale(capacitance_exact(frame, tol=tol), pair))
             ex = resonant_frequencies(sp, m)
             eps, o1e, o2e = pair.epsilon, ex.omega1, ex.omega2
         except TruncationCapError:
             pass
     ratio1 = asym.omega1 / o1e if not math.isnan(o1e) else math.nan
     ratio2 = asym.omega2 / o2e if not math.isnan(o2e) else math.nan
-    return [delta, eps, log_eps, o1e, o2e, asym.omega1, asym.omega2, ratio1, ratio2]
+    return [cfg.delta, eps, log_eps, o1e, o2e, asym.omega1, asym.omega2, ratio1, ratio2]
 
 
 _RES_COLUMNS = [
@@ -380,12 +382,11 @@ def cmd_resonances(cfg: RunConfig) -> None:
         # the regime table, one _resonance_row per contrast
         if cfg.beta is None:
             raise ConfigError("a delta sweep needs the regime exponent --beta")
-        c0 = cfg.c0 if cfg.c0 is not None else 1.0
+        if cfg.eps is not None or cfg.delta is not None:
+            raise ConfigError("--delta-grid takes the place of --eps and --delta; give neither")
         deltas = _parse_grid(cfg.delta_grid, log_scale=True, name="delta")
-        for d in deltas:
-            if not 0.0 < d < 1.0:
-                raise ConfigError(f"contrast delta must be in (0, 1), got {d}")
-        rows = [_resonance_row(r1, r2, d, cfg.beta, c0) for d in deltas]
+        tol = cfg.tol if cfg.tol is not None else 1e-12
+        rows = [_resonance_row(r1, r2, replace(cfg, delta=d), tol) for d in deltas]
         _emit(cfg, _RES_COLUMNS, rows, _RES_UNITS)
         return
 
@@ -412,7 +413,9 @@ def cmd_blowup(cfg: RunConfig) -> None:
     grid = _parse_grid(cfg.eps_grid, log_scale=True, name="eps")
     tol = cfg.tol if cfg.tol is not None else _TOL_DEFAULT
     try:
-        study = blowup_study((r1, r2), _material(cfg), grid, samples=cfg.samples, tol=tol)
+        study = blowup_study(
+            (r1, r2), material=None, eps_grid=grid, samples=cfg.samples, tol=tol
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     columns = [
@@ -518,6 +521,69 @@ def cmd_sweep(cfg: RunConfig) -> None:
         )
 
 
+# every flag of some command; argparse derives each dest (rho_b, error_json)
+_FLAGS = {
+    "--config": dict(help="JSON file keyed by this command's flags; flags override"),
+    "--out": dict(help="output file (default stdout)"),
+    "--format": dict(choices=("csv", "json"), help="output format"),
+    "--jobs": dict(type=int, help="accepted for compatibility; has no effect"),
+    "--error-json": dict(
+        action="store_const", const=True, help="report failures as JSON on stdout"
+    ),
+    "--r1": dict(type=float, help="radius of sphere 1"),
+    "--r2": dict(type=float, help="radius of sphere 2"),
+    "--eps": dict(type=float, help="gap width between the spheres"),
+    "--delta": dict(type=float, help="contrast (regime mode)"),
+    "--beta": dict(type=float, help="regime exponent in (0, 1)"),
+    "--c0": dict(type=float, help="regime gap scale (default 1)"),
+    "--tol": dict(type=float, help="series tolerance"),
+    "--rho": dict(type=float, help="background density"),
+    "--rho-b": dict(type=float, help="interior density"),
+    "--kappa": dict(type=float, help="background bulk modulus"),
+    "--kappa-b": dict(type=float, help="interior bulk modulus"),
+    "--delta-grid": dict(help="lo:hi:n log grid or comma list"),
+    "--eps-grid": dict(help="lo:hi:n log grid or comma list"),
+    "--samples": dict(type=int, help="surface samples per sphere (>= 100)"),
+    "--point": dict(
+        dest="points", action="append", metavar="X,Y,Z",
+        help="Cartesian evaluation point; repeatable",
+    ),
+    "--omega-grid": dict(help="lo:hi:n linear grid or comma list"),
+    "--direction": dict(help="incident direction x,y,z (default 0,0,1)"),
+    "--quantity": dict(choices=("capacitance",)),
+}
+
+_SHARED = ("--config", "--out", "--format", "--jobs", "--error-json")
+_GEOMETRY = ("--r1", "--r2", "--eps", "--delta", "--beta", "--c0", "--tol")
+_MATERIAL = ("--rho", "--rho-b", "--kappa", "--kappa-b")
+
+# each command's function, help line and flags besides _SHARED
+_COMMANDS = {
+    "capacitance": (cmd_capacitance, "capacitance matrix and asymptotics", _GEOMETRY),
+    "resonances": (
+        cmd_resonances, "resonant frequencies, exact and asymptotic",
+        (*_GEOMETRY, *_MATERIAL, "--delta-grid"),
+    ),
+    "blowup": (
+        cmd_blowup, "gap-gradient blow-up study",
+        ("--r1", "--r2", "--tol", "--eps-grid", "--samples"),
+    ),
+    "field": (
+        cmd_field, "potentials, modes and gradients at points", (*_GEOMETRY, "--point")
+    ),
+    "scattering": (
+        cmd_scattering, "modal response curve |a|, |b| vs omega",
+        (*_GEOMETRY, *_MATERIAL, "--omega-grid", "--direction"),
+    ),
+    "sweep": (
+        cmd_sweep,
+        "tabulate the capacitance over a gap grid (the resonance table "
+        "over a contrast grid is `resonances --delta-grid`)",
+        ("--r1", "--r2", "--tol", "--quantity", "--eps-grid"),
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="bisphere",
@@ -525,91 +591,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "resonances, fields, gap blow-up and scattering response.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON file with RunConfig keys; flags override")
-        p.add_argument("--r1", type=float, help="radius of sphere 1")
-        p.add_argument("--r2", type=float, help="radius of sphere 2")
-        p.add_argument("--eps", type=float, help="gap width between the spheres")
-        p.add_argument("--delta", type=float, help="contrast (regime mode)")
-        p.add_argument("--beta", type=float, help="regime exponent in (0, 1)")
-        p.add_argument("--c0", type=float, help="regime gap scale (default 1)")
-        p.add_argument("--rho", type=float, help="background density")
-        p.add_argument("--rho-b", dest="rho_b", type=float, help="interior density")
-        p.add_argument("--kappa", type=float, help="background bulk modulus")
-        p.add_argument(
-            "--kappa-b", dest="kappa_b", type=float, help="interior bulk modulus"
-        )
-        p.add_argument("--tol", type=float, help="series tolerance")
-        p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument(
-            "--jobs", type=int, help="accepted for compatibility; has no effect"
-        )
-        p.add_argument(
-            "--error-json",
-            dest="error_json",
-            action="store_const",
-            const=True,
-            help="report failures as JSON on stdout",
-        )
-
-    p = sub.add_parser("capacitance", help="capacitance matrix and asymptotics")
-    common(p)
-
-    p = sub.add_parser("resonances", help="resonant frequencies, exact and asymptotic")
-    common(p)
-    p.add_argument("--delta-grid", dest="delta_grid", help="lo:hi:n log grid or comma list")
-
-    p = sub.add_parser("blowup", help="gap-gradient blow-up study")
-    common(p)
-    p.add_argument("--eps-grid", dest="eps_grid", help="lo:hi:n log grid or comma list")
-    p.add_argument("--samples", type=int, help="surface samples per sphere (>= 100)")
-
-    p = sub.add_parser("field", help="potentials, modes and gradients at points")
-    common(p)
-    p.add_argument(
-        "--point",
-        dest="points",
-        action="append",
-        metavar="X,Y,Z",
-        help="Cartesian evaluation point; repeatable",
-    )
-
-    p = sub.add_parser("scattering", help="modal response curve |a|, |b| vs omega")
-    common(p)
-    p.add_argument("--omega-grid", dest="omega_grid", help="lo:hi:n linear grid or comma list")
-    p.add_argument("--direction", help="incident direction x,y,z (default 0,0,1)")
-
-    p = sub.add_parser(
-        "sweep",
-        help="tabulate the capacitance over a gap grid (the resonance table "
-        "over a contrast grid is `resonances --delta-grid`)",
-    )
-    common(p)
-    p.add_argument("--quantity", choices=("capacitance",))
-    p.add_argument("--eps-grid", dest="eps_grid", help="lo:hi:n log grid or comma list")
-
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        # no abbreviations: sweep's --eps must not read as its --eps-grid
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in (*_SHARED, *flags):
+            p.add_argument(flag, **_FLAGS[flag])
     return top
-
-
-_COMMANDS = {
-    "capacitance": cmd_capacitance,
-    "resonances": cmd_resonances,
-    "blowup": cmd_blowup,
-    "field": cmd_field,
-    "scattering": cmd_scattering,
-    "sweep": cmd_sweep,
-}
 
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    error_json = bool(getattr(args, "error_json", False))
+    error_json = bool(args.error_json)
     try:
         cfg = _merge_config(args)
         error_json = cfg.error_json
-        _COMMANDS[args.command](cfg)
+        _COMMANDS[args.command][0](cfg)
         return 0
     except (ConfigError, ValueError) as exc:
         _report_error(exc, error_json)

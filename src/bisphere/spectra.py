@@ -137,8 +137,8 @@ def resonance_asymptotic(
 
     pair is a ResonatorPair, whose epsilon is the gap, or a bare
     (r1, r2) tuple with log_eps, the natural log of the gap, for regimes
-    where the gap underflows double precision; log_eps, when given,
-    overrides pair.epsilon.
+    where the gap underflows double precision. A ResonatorPair with
+    log_eps raises ValueError: its epsilon already gives the gap.
 
     omega2 comes from the explicit blow-up formula
         omega2^2 = delta (3 v_b^2 / 2)(1/r1^3 + 1/r2^3)
@@ -150,23 +150,22 @@ def resonance_asymptotic(
     whose touching limit, for a bare pair, takes the tails at
     z_i = r_i / (r1 + r2) as digamma_series_tail(r_i, r_j).
     """
+    # lambda1 from the sigma terms; with the pair's own gap use the true
+    # frame, otherwise the touching-limit values z_i -> r_i/(r1+r2) and
+    # alpha/s -> r1 r2/(r1+r2)
     if isinstance(pair, ResonatorPair):
+        if log_eps is not None:
+            raise ValueError("a ResonatorPair carries its gap; log_eps goes with a bare (r1, r2)")
         r1, r2 = pair.r1, pair.r2
+        st = sigma_terms(frame_from_pair(pair), pair)
+        lam1 = (r1**3 * st.sigma1 + r2**3 * st.sigma2) / (r1**3 + r2**3)
+        log_eps = math.log(pair.epsilon)
     else:
         r1, r2 = pair
         if not (r1 > 0.0 and r2 > 0.0):
             raise ValueError("radii must be positive")
         if log_eps is None:
             raise ValueError("a bare (r1, r2) pair needs log_eps")
-
-    # lambda1 from the sigma terms; with the pair's own gap use the true
-    # frame, otherwise the touching-limit values z_i -> r_i/(r1+r2) and
-    # alpha/s -> r1 r2/(r1+r2)
-    if log_eps is None:
-        st = sigma_terms(frame_from_pair(pair), pair)
-        lam1 = (r1**3 * st.sigma1 + r2**3 * st.sigma2) / (r1**3 + r2**3)
-        log_eps = math.log(pair.epsilon)
-    else:
         alpha_over_s = r1 * r2 / (r1 + r2)
         t1 = digamma_series_tail(r1, r2)
         t2 = digamma_series_tail(r2, r1)

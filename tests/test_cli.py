@@ -1,7 +1,9 @@
+import argparse
 import concurrent.futures
 import json
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -18,7 +20,9 @@ from bisphere import (
     rescale,
     to_bispherical,
 )
-from bisphere.cli import RunConfig, _emit, run
+from bisphere.cli import RunConfig, _build_parser, _emit, run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _read(path):
@@ -147,6 +151,52 @@ def test_eps_and_regime_are_exclusive(capsys):
         ]
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["resonances", "--r1", "1", "--r2", "2", "--eps", "1e-6", "--delta", "0.1"],
+         "give either --eps or the regime"),
+        (["capacitance", "--r1", "1", "--r2", "2", "--eps", "0.05", "--delta", "0.1"],
+         "give either --eps or the regime"),
+        (["resonances", "--r1", "1", "--r2", "1", "--delta-grid", "1e-3:1e-2:2",
+          "--beta", "0.5", "--eps", "1e-3"], "--delta-grid"),
+        (["resonances", "--r1", "1", "--r2", "1", "--delta-grid", "1e-3:1e-2:2",
+          "--beta", "0.5", "--delta", "0.1"], "--delta-grid"),
+    ],
+)
+def test_a_contrast_next_to_a_gap_is_config_error(argv, named, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert named in err
+
+
+def _regime_row(argv, capsys, rho="2"):
+    assert run(argv + ["--r1", "1", "--r2", "2", "--beta", "0.5", "--rho", rho]) == 0
+    text = capsys.readouterr().out
+    (row,) = _data_rows(text)
+    return dict(zip(_header(text), row))
+
+
+def test_resonances_grid_row_uses_the_regime_material(capsys):
+    grid = _regime_row(["resonances", "--delta-grid", "1e-2"], capsys)
+    single = _regime_row(["resonances", "--delta", "1e-2"], capsys)
+    for col in ("delta", "eps", "omega1_exact", "omega2_exact"):
+        assert grid[col] == single[col], col
+    # the grid's closed form takes the touching-limit lambda1, the single row the true frame's
+    assert grid["omega1_asym"] != single["omega1_asym"]
+    # --rho scales every frequency by 1/sqrt(rho), the grid's included
+    plain = _regime_row(["resonances", "--delta-grid", "1e-2"], capsys, rho="1")
+    for col in ("omega1_exact", "omega2_exact", "omega1_asym", "omega2_asym"):
+        assert float(grid[col]) == pytest.approx(float(plain[col]) / math.sqrt(2.0), rel=1e-14)
+
+
+def test_resonances_grid_reads_tol(capsys):
+    argv = ["resonances", "--r1", "1", "--r2", "2", "--delta-grid", "1e-2", "--beta", "0.5"]
+    assert run(argv + ["--tol", "1e-30"]) == 2
+    assert "tolerance 1e-30" in capsys.readouterr().err
 
 
 def test_invalid_beta_is_config_error(capsys):
@@ -399,8 +449,8 @@ def test_sweep_quantity_resonances_exits_2(tmp_path, capsys):
         run(argv[:1] + ["--quantity", "resonances"] + argv[1:])
     assert exc.value.code == 2
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"quantity": "resonances", "delta_grid": "1e-6:1e-2:3"}))
-    assert run(["sweep", "--config", str(cfg), "--r1", "1", "--r2", "1", "--beta", "0.5"]) == 2
+    cfg.write_text(json.dumps({"quantity": "resonances"}))
+    assert run(["sweep", "--config", str(cfg), "--r1", "1", "--r2", "1"]) == 2
     assert "resonances --delta-grid" in capsys.readouterr().err
 
 
@@ -466,7 +516,7 @@ def test_config_file_value_of_the_wrong_type_is_named(tmp_path, capsys, key, val
 
 def _readme_commands():
     """The commands of README.md's "Command line" block, continuation lines joined."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```", 2)[1]
     return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
 
@@ -483,6 +533,84 @@ def test_readme_command_line_block_runs(tmp_path, capsys):
         assert run(argv) == 0, argv
     assert (tmp_path / "table.csv").exists()
     assert capsys.readouterr().err == ""
+
+
+def test_readme_python_blocks_run():
+    """The README's Python examples run in order, in one namespace, without a warning."""
+    text = README.read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in text.split("```python\n")[1:]]
+    assert len(blocks) == 4
+    namespace = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), namespace)
+
+
+_SHARED = ["--config", "--out", "--format", "--jobs", "--error-json"]
+_GEOMETRY = ["--r1", "--r2", "--eps", "--delta", "--beta", "--c0", "--tol"]
+_MATERIAL = ["--rho", "--rho-b", "--kappa", "--kappa-b"]
+_FLAGS = {
+    "capacitance": _GEOMETRY,
+    "resonances": _GEOMETRY + _MATERIAL + ["--delta-grid"],
+    "blowup": ["--r1", "--r2", "--tol", "--eps-grid", "--samples"],
+    "field": _GEOMETRY + ["--point"],
+    "scattering": _GEOMETRY + _MATERIAL + ["--omega-grid", "--direction"],
+    "sweep": ["--r1", "--r2", "--tol", "--quantity", "--eps-grid"],
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    (commands,) = [
+        a.choices for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert set(commands) == set(_FLAGS)
+    n_flags = n_keys = 0
+    for name, parser in commands.items():
+        actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+        flags = [s for a in actions for s in a.option_strings]
+        assert sorted(flags) == sorted(_SHARED + _FLAGS[name]), name
+        n_flags += len(flags)
+        n_keys += len({a.dest for a in actions} - {"config"})
+    # a config file takes the same keys as the flags, so 74 keys where 22 x 6 were taken
+    assert (n_flags, n_keys) == (80, 74)
+
+
+# a run that exits 0, and the physical flags it took without reading them
+_IGNORED = [
+    (["capacitance", "--r1", "1", "--r2", "2", "--eps", "0.05"],
+     ["--rho 2", "--rho-b 1e-3", "--kappa 2", "--kappa-b 1e-3"]),
+    (["field", "--r1", "1", "--r2", "2", "--eps", "0.05", "--point", "0,0,0"],
+     ["--rho 2", "--rho-b 1e-3", "--kappa 2", "--kappa-b nan"]),
+    (["blowup", "--r1", "1", "--r2", "2", "--eps-grid", "1e-4:1e-1:4", "--samples", "100"],
+     ["--eps 0.1", "--delta 1e-3", "--beta 0.5", "--c0 2",
+      "--rho 2", "--rho-b 1e-3", "--kappa 2", "--kappa-b 1e-3"]),
+    (["sweep", "--quantity", "capacitance", "--r1", "1", "--r2", "2", "--eps-grid", "1e-3:1e-1:3"],
+     ["--eps 7", "--delta 1e-3", "--beta 0.5", "--c0 2",
+      "--rho -5", "--rho-b 1e-3", "--kappa 2", "--kappa-b 1e-3"]),
+]
+
+
+@pytest.mark.parametrize(
+    "base, extra",
+    [(base, extra) for base, extras in _IGNORED for extra in extras],
+    ids=lambda v: v[0] if isinstance(v, list) else v,
+)
+def test_a_flag_the_command_does_not_read_exits_2(base, extra, capsys):
+    assert run(base) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(base + extra.split())
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {extra}" in capsys.readouterr().err
+
+
+def test_config_key_the_command_does_not_read_is_named(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"r1": 1.0, "r2": 2.0, "eps": 0.05, "samples": 200}))
+    assert run(["capacitance", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "'samples'" in err and "capacitance" in err
 
 
 def test_config_file_unknown_key(tmp_path, capsys):

@@ -148,3 +148,10 @@ def test_closed_form_accepts_log_gap(water_air):
 def test_closed_form_requires_some_gap(water_air):
     with pytest.raises(ValueError):
         resonance_asymptotic((1.0, 2.0), water_air)
+
+
+def test_closed_form_refuses_a_pair_with_a_log_gap(water_air):
+    # the pair's epsilon is its gap; a second gap beside it is not silently preferred
+    pair = ResonatorPair(1.0, 2.0, 1e-6)
+    with pytest.raises(ValueError, match="log_eps"):
+        resonance_asymptotic(pair, water_air, log_eps=math.log(1e-6))
