@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import TruncationCapError
 from .geometry import BisphericalFrame, ResonatorPair, frame_from_pair
-from .specfun import _HEAD, GAMMA_EULER, _em_remainder, _em_tails, _kernel, digamma_series_tail
+from .specfun import _HEAD, GAMMA_EULER, _em_remainder, _image_pass, digamma_series_tail
 
 DEFAULT_TERM_CAP = 100_000_000
 
@@ -115,8 +115,11 @@ def _image_sums(xi1: float, xi2: float) -> list[float]:
     h = 2.0 * (xi1 + xi2)
     w = np.array([[2.0 * xi1], [2.0 * xi2], [h]])
     start = w + _HEAD * h
-    head = _kernel(w + (np.arange(_HEAD) * h)[:, None, None], 0.0, 0.0, slice(0, 1))[:, 0, :, 0]
-    tails = _em_tails(start, 0.0, 0.0, h, slice(0, 1))[0, :, 0]
+    # one kernel pass: the head images come in one block, which add keeps
+    head, tails, _ = _image_pass(
+        w, 0.0, 0.0, h, slice(0, 1), np.empty((0, *w.shape)), lambda _, block: block, None
+    )
+    head, tails = head[:, 0, :, 0], tails[0, :, 0]
     sums = []
     for terms, t, tail in zip(head.T.tolist(), start[:, 0].tolist(), tails.tolist()):
         integral = math.log1p(2.0 * math.exp(-0.5 * t) / -math.expm1(-0.5 * t))

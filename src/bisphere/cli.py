@@ -12,8 +12,10 @@ CSV carries a #-prefixed header block (tool version, config hash, column
 units) and no timestamps; JSON mirrors the same schema with sorted keys.
 Exit codes: 0 success, 2 invalid configuration (a flag or config key the
 command does not read, a config-file value of the wrong type, a
-non-finite or non-positive physical input), 3 numerical failure
-(truncation cap, pole guard, regime underflow, overflow).
+non-finite or non-positive physical input, an interior material in
+regime mode), 3 numerical failure (truncation cap, pole guard, regime
+underflow, overflow). With --error-json every failure, argparse's own
+included, is one JSON object on stdout.
 
 Every cell of a sweep or blow-up study runs in the calling process;
 `--jobs` is accepted for compatibility and has no effect.
@@ -135,19 +137,34 @@ def _load_config(path: str) -> dict:
     return data
 
 
+# the interior material that regime mode sets from the contrast (_material)
+_REGIME_MATERIAL = {"rho_b": "rho", "kappa_b": "kappa"}
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """The config file's keys, then the flags; both only the command's own."""
     cfg = RunConfig()
     # the parser sets the dest of each of the command's flags, given or not
     keys = set(vars(args)) - {"command", "config"}
+    given = set()
     if args.config:
         for key, val in _load_config(args.config).items():
             if key not in keys:
                 raise ConfigError(f"config key {key!r} is not a flag of {args.command}")
             setattr(cfg, key, val)
+            given.add(key)
     for key in keys:
         if getattr(args, key) is not None:
             setattr(cfg, key, getattr(args, key))
+            given.add(key)
+    if cfg.beta is not None or cfg.delta_grid is not None:
+        for key, outer in _REGIME_MATERIAL.items():
+            if key in given:
+                flag = "--" + key.replace("_", "-")
+                raise ConfigError(
+                    f"{flag} is not taken in regime mode (--beta or --delta-grid), where "
+                    f"{key} = delta * {outer}"
+                )
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
     if cfg.jobs < 1:
@@ -584,8 +601,16 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+class _JsonErrorParser(argparse.ArgumentParser):
+    """A parser whose errors raise ConfigError, for _report_error to print as JSON."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _build_parser(parser_class: type = argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The parser of every command; its subcommands' parsers are of the same class."""
+    top = parser_class(
         prog="bisphere",
         description="Close-to-touching spherical resonator pair: capacitance, "
         "resonances, fields, gap blow-up and scattering response.",
@@ -600,7 +625,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # with --error-json argparse's own errors (an unknown flag, a bad value)
+    # are reported as JSON too; without it argparse prints usage and exits
+    as_json = "--error-json" in argv
+    parser = _build_parser(_JsonErrorParser if as_json else argparse.ArgumentParser)
+    try:
+        args = parser.parse_args(argv)
+    except ConfigError as exc:
+        _report_error(exc, True)
+        return 2
     error_json = bool(args.error_json)
     try:
         cfg = _merge_config(args)

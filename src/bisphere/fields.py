@@ -23,15 +23,17 @@ Euler-Maclaurin (DLMF 2.10.1): the integral over [p, q] shifted by
 closed form. The scaled Taylor coefficients of G are fixed polynomials
 in two bounded ratios X and Y, so each correction sum is one pass of
 fixed rational weights over the 25 monomials X^i Y^j with 2i + j <= 8
-(_em_tails). The kernel and its tail live in `specfun`, since the
+(_em_sums). The kernel and its tail live in `specfun`, since the
 capacitance sums are the same image sums at theta = 0. The cost is the
 same at every gap.
 How many head images go through one numpy call, and whether stacked
 terms are added with one accumulate or in a loop, is decided in
-`specfun` by the batch size (_head_blocks, _in_order); every batch
-sends all eight Gauss nodes through one call. Every sum adds its terms
-one at a time in a fixed order, so a point's values are the same bits
-in any batch.
+`specfun` by the batch size (_head_spans, _in_order). The last head
+block also carries the tail start and the eight Gauss nodes when it has
+room (specfun._image_pass), so for up to 58 points one kernel pass
+serves them all. Every sum
+adds its terms one at a time in a fixed order, so a point's values are
+the same bits in any batch.
 Gradients are exact derivatives of the same sums: dG/dw = -sinh(w) G^3
 and dG/dtheta = -sin(theta) G^3. A call without azimuths asks the kernel
 and its tail for the G row alone, so it pays for no derivative sum and
@@ -55,16 +57,20 @@ import numpy as np
 
 from .capacitance import RescaledCapacitance, capacitance_exact, rescale
 from .geometry import BisphericalFrame, BisphericalPoint, ResonatorPair, frame_from_pair
-from .specfun import _HEAD, _em_remainder, _em_tails, _head_blocks, _in_order, _kernel
+from .specfun import _HEAD, _em_remainder, _image_pass, _in_order
 from .spectra import SpectralPair, eigen
 
 _SQRT2 = math.sqrt(2.0)
 # 4-point Gauss-Legendre rule on [-1, 1]: (node t, weight) for nodes -t and t
 _GAUSS = ((0.8611363115940526, 0.34785484513745357), (0.33998104358485626, 0.6521451548625464))
 _GAUSS_NODES = np.array([sign * t for t, _ in _GAUSS for sign in (-1.0, 1.0)])[:, None, None]
-_GAUSS_WEIGHTS = np.repeat([weight for _, weight in _GAUSS], 2)[:, None, None, None]
+_GAUSS_WEIGHTS = np.array([weight for _, weight in _GAUSS])[:, None, None, None]
+# the image rows p_1, p_2, q_1, q_2 are these constants plus these multiples of xi
+_XI_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])[:, None]
 # S_j adds G(p) - G(q); its xi-derivative dG/dw(p) + dG/dw(q), since dq/dxi = -dp/dxi
 _PAIR_SIGNS = np.array([-1.0, 1.0, -1.0])[:, None, None]
+# dS/dxi of V_2 (dp/dxi = -1) and dS/dtheta change sign at the end
+_GRAD_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -174,7 +180,7 @@ def potential_series(frame: BisphericalFrame, tol: float = 1e-10) -> PotentialSe
 def _add_images(total: float | np.ndarray, f: np.ndarray) -> np.ndarray:
     """total plus f(p) - f(q) (f(p) + f(q) for dG/dw) of each stacked image in turn.
 
-    f is _kernel's (images, rows, 4, N), with rows G, dG/dw and
+    f is the kernel's (images, rows, 4, N), with rows G, dG/dw and
     sin(theta) G^3 or G alone at p_1, p_2, q_1 and q_2, and is
     overwritten: the pairs are combined in place, which keeps a large
     batch's peak memory down, the images are added in turn by _in_order,
@@ -188,53 +194,54 @@ def _add_images(total: float | np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _image_sums(
-    frame: BisphericalFrame, xi: np.ndarray, theta: np.ndarray, grad: bool = True
+    frame: BisphericalFrame, xi: np.ndarray, sh2: np.ndarray, st: np.ndarray, grad: bool
 ) -> np.ndarray:
     """S, dS/dxi and dS/dtheta stacked, shape (3, 2, N), with V_j = sqrt(2 d) S[0, j - 1].
 
-    With grad False only S is summed, shape (1, 2, N): the kernel and
-    its tail form the G row alone, so a value-only call pays for no
+    sh2 and st are sin^2(theta / 2) and sin(theta) at the points. With
+    grad False only S is summed, shape (1, 2, N): the kernel and its
+    tail form the G row alone, so a value-only call pays for no
     derivative and none can overflow; S has the same bits either way.
-    The Gauss nodes never form dG/dw, which needs no integral. Every
-    operation acts elementwise on the points and every sum adds its
-    terms one at a time in a fixed order, so a point's sums do not
-    depend on the batch it comes in. The head images come in the blocks
-    of specfun._head_blocks, and the eight Gauss nodes go through one
-    call as a stacked array.
+    The head images, the tail and the eight Gauss nodes go through
+    specfun._image_pass, the nodes as two extra pseudo-images of four
+    rows each, so for up to 58 points one kernel pass serves them all.
+    Every operation acts elementwise on the points and every sum adds
+    its terms one at a time in a fixed order, so a point's sums do not
+    depend on the batch it comes in.
     """
-    s = frame.xi1 + frame.xi2
-    h = 2.0 * s
-    sh2, st = np.square(np.sin(0.5 * theta)), np.sin(theta)
+    h = 2.0 * (frame.xi1 + frame.xi2)
+    rows = slice(None) if grad else slice(0, 1)
     # image arguments, rows p_1, p_2, q_1, q_2; S_j sums G(p_j) - G(q_j). With
     # the p rows together, each image's terms are contiguous pairs of rows
-    w = np.stack([2.0 * frame.xi1 + xi, 2.0 * frame.xi2 - xi, 2.0 * s - xi, 2.0 * s + xi])
-    # S, dS/dxi with V_1's sign dp/dxi = +1, and -dS/dtheta
-    # all three rows, or G alone; the Gauss nodes skip dG/dw, which needs no integral
-    rows, nodes = (slice(None), slice(None, None, 2)) if grad else (slice(0, 1), slice(0, 1))
-    sums = 0.0
-    for block in _head_blocks(w, sh2, st, h, rows):
-        sums = _add_images(sums, block)
-    # Euler-Maclaurin tail from k = _HEAD: the closed-form corrections, and
-    # integrals over [p, q] + K h by Gauss-Legendre (dG/dw needs none)
-    w = w + _HEAD * h
-    tails = _em_tails(w, sh2, st, h, rows)
-    mid, half = 0.5 * (w[:2] + w[2:]), 0.5 * (w[2:] - w[:2])
-    g = _kernel(mid + _GAUSS_NODES * half, sh2, st, nodes)
-    g *= _GAUSS_WEIGHTS
-    sums[0::2] += half / h * _in_order(np.add, g)
+    w = np.array((2.0 * frame.xi1, 2.0 * frame.xi2, h, h))[:, None] + _XI_SIGNS * xi
+    # the Gauss nodes mid + t half of the Euler-Maclaurin integrals over
+    # [p, q] + K h, node by node (-t_1, +t_1, -t_2, +t_2) and V_1, V_2 within
+    # a node, which read as two images of four rows
+    start = w + _HEAD * h
+    mid, half = 0.5 * (start[:2] + start[2:]), 0.5 * (start[2:] - start[:2])
+    nodes = _GAUSS_NODES * half
+    nodes += mid
+    # S, dS/dxi with V_1's sign dp/dxi = +1, and -dS/dtheta; all three rows,
+    # or G alone. The head images added in turn, then the Euler-Maclaurin
+    # tail from k = _HEAD: the closed-form corrections, and the integrals
+    # by Gauss-Legendre, which need no dG/dw
+    sums, tails, g = _image_pass(
+        w, sh2, st, h, rows, nodes.reshape(len(_GAUSS), *w.shape), _add_images, 0.0
+    )
+    g = g[:, ::2] * _GAUSS_WEIGHTS
+    sums[0::2] += half / h * (g[0, :, :2] + g[0, :, 2:] + g[1, :, :2] + g[1, :, 2:])
     sums += tails[:, :2] + _PAIR_SIGNS[rows] * tails[:, 2:]
     if grad:
         # dq/dxi = -dp/dxi, and dp/dxi = -1 for V_2
-        sums[1, 1] = -sums[1, 1]
-        sums[2] = -sums[2]
+        sums *= _GRAD_SIGNS
     return sums
 
 
 def _check_strip(frame: BisphericalFrame, xi: np.ndarray) -> None:
     slack = 1e-12 * max(1.0, frame.xi1, frame.xi2)
-    if np.any(xi > frame.xi2 + slack):
+    if xi.max(initial=-math.inf) > frame.xi2 + slack:
         raise ValueError("point lies inside resonator 2 (xi > xi2)")
-    if np.any(xi < -frame.xi1 - slack):
+    if xi.min(initial=math.inf) < -frame.xi1 - slack:
         raise ValueError("point lies inside resonator 1 (xi < -xi1)")
 
 
@@ -243,12 +250,21 @@ def _as_points(xi, theta, phi):
     out = []
     for name, a in (("xi", xi), ("theta", theta), ("phi", phi)):
         if a is not None:
-            a = np.atleast_1d(np.asarray(a, dtype=float))
+            a = np.asarray(a, dtype=float)
+            if a.ndim == 0:
+                a = a.reshape(1)
             if out and a.shape != out[0].shape:
                 raise ValueError(f"{name} has shape {a.shape}, xi has {out[0].shape}")
-            if not np.isfinite(a).all():
-                raise ValueError(f"{name} holds a non-finite value")
         out.append(a)
+    # one check of the inputs' sum, which a non-finite value makes non-finite;
+    # a finite sum may overflow too, so only then is each array searched
+    given = [a for a in out if a is not None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(given[1:], given[0]).sum()
+    if not math.isfinite(total):
+        for name, a in zip(("xi", "theta", "phi"), out):
+            if a is not None and not np.isfinite(a).all():
+                raise ValueError(f"{name} holds a non-finite value")
     return out
 
 
@@ -258,44 +274,73 @@ def potential_field(ps: PotentialSeries, xi, theta, phi=None) -> PotentialField:
     The one evaluator of the potentials; xi, theta and phi are
     equal-length arrays of points of the closed exterior strip, where a
     boundary value is the one-sided exterior limit. Interior points,
-    non-finite values and arrays of different lengths raise ValueError.
-    Every point goes through the same image sums with their
-    Euler-Maclaurin tail, at a cost independent of the gap, and its
+    non-finite values, arrays of different lengths and a gradient at the
+    point at infinity, xi = theta = 0, raise ValueError, and a gradient
+    beyond the double range (gaps below eps ~ 1e-305) OverflowError. Every point goes through the same image sums with
+    their Euler-Maclaurin tail, at a cost independent of the gap, and its
     result does not depend on the other points of the batch.
     """
     frame = ps.frame
     xi, theta, phi = _as_points(xi, theta, phi)
     _check_strip(frame, xi)
-    sums = _image_sums(frame, xi, theta, grad=phi is not None)
-    s_val = sums[0]
     # V_j = sqrt(2 d) S_j with d = cosh(xi) - cos(theta) = 2 (sinh(xi/2)^2 + sin(theta/2)^2):
     # the half-angle form does not cancel when xi and theta are both small
     # (far points, or the theta = 0 pole of a sphere at a narrow gap). Its
     # squares underflow beyond |x| ~ 1e150 alpha, where the root is a hypot
     a, b = np.sinh(0.5 * xi), np.sin(0.5 * theta)
-    sqd = np.sqrt(2.0 * (np.square(a) + np.square(b)))
-    far = sqd < 1e-150
-    if far.any():
+    a2, sh2 = np.square(a), np.square(b)
+    sqd = np.sqrt(2.0 * (a2 + sh2))
+    if sqd.min(initial=math.inf) < 1e-150:
+        far = sqd < 1e-150
         sqd[far] = _SQRT2 * np.hypot(a[far], b[far])
-    v = _SQRT2 * sqd * s_val
+    # sinh(xi) and sin(theta), the factors of the two derivatives of sqrt(2 d)
+    trig = np.empty((2, xi.size))
+    st = np.sin(theta, out=trig[1])
     if phi is None:
-        return PotentialField(v=v, grad=None)
-    s_xi, s_th = sums[1:]
-    sh, st = np.sinh(xi), np.sin(theta)
-    f_xi = _SQRT2 * (0.5 * sh / sqd * s_val + sqd * s_xi)
-    f_th = _SQRT2 * (0.5 * st / sqd * s_val + sqd * s_th)
-    # 1 - cosh(xi) cos(theta) in half-angle form, which keeps its digits
-    # where xi and theta are both small (far points near the x3 axis)
-    w = 2.0 * (np.cosh(xi) * np.square(np.sin(0.5 * theta)) - np.square(np.sinh(0.5 * xi)))
-    radial = f_xi * (-st * sh) - f_th * w
-    axial = f_xi * w + f_th * (-sh * st)
-    inv_alpha = 1.0 / frame.alpha
-    grad = np.stack(
-        [inv_alpha * radial * np.cos(phi), inv_alpha * radial * np.sin(phi),
-         inv_alpha * axial],
-        axis=1,
+        sums = _image_sums(frame, xi, sh2, st, False)
+        return PotentialField(v=_SQRT2 * sqd * sums[0], grad=None)
+    # below eps ~ 1e-305 the derivative rows overflow; that is reported once,
+    # after the assembly, as OverflowError rather than as RuntimeWarnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sums = _image_sums(frame, xi, sh2, st, True)
+        # alpha (dV_j/dxi, dV_j/dtheta)
+        np.sinh(xi, out=trig[0])
+        f = _SQRT2 * ((0.5 * trig / sqd)[:, None] * sums[0] + sqd * sums[1:])
+        # 1 - cosh(xi) cos(theta) in half-angle form, which keeps its digits
+        # where xi and theta are both small (far points near the x3 axis)
+        w = 2.0 * (np.cosh(xi) * sh2 - a2)
+        fm, fw = f * (-st * trig[0]), f * w
+        inv_alpha = 1.0 / frame.alpha
+        radial = inv_alpha * (fm[0] - fw[1])
+        grad = np.empty((2, 3, xi.size))
+        np.multiply(radial, np.cos(phi), out=grad[:, 0])
+        np.multiply(radial, np.sin(phi), out=grad[:, 1])
+        np.multiply(inv_alpha, np.add(fw[0], fm[1], out=grad[:, 2]), out=grad[:, 2])
+    if not np.isfinite(grad).all():
+        _raise_non_finite(frame, sqd, grad)
+    # the value row never overflows
+    return PotentialField(v=_SQRT2 * sqd * sums[0], grad=grad)
+
+
+def _raise_non_finite(frame: BisphericalFrame, sqd: np.ndarray, grad: np.ndarray) -> None:
+    """Raises for the points of a non-finite gradient, named by its cause.
+
+    sqd is 0 only at the point at infinity, xi = theta = 0 (or both
+    within a subnormal of it), where sinh(xi) / sqd has no limit
+    (ValueError). Anywhere else a non-finite component comes from a sum
+    past the double range (OverflowError).
+    """
+    bad = ~np.isfinite(grad).all(axis=(0, 1))
+    at_infinity = np.count_nonzero(bad & (sqd == 0.0))
+    if at_infinity:
+        raise ValueError(
+            f"xi = theta = 0 is the point at infinity, where the gradient is undefined "
+            f"({at_infinity} of {bad.size} points)"
+        )
+    raise OverflowError(
+        f"the gradient passes the double range at {np.count_nonzero(bad)} of {bad.size} "
+        f"points for the gap eps = {frame.epsilon:g}"
     )
-    return PotentialField(v=v, grad=grad)
 
 
 def eval_potential(ps: PotentialSeries, j: int, p: BisphericalPoint) -> float:
@@ -361,6 +406,15 @@ def h_decomposition(ct: RescaledCapacitance, sp: SpectralPair, n: int) -> ModeDe
     )
 
 
+def _one_sided(acc: tuple, block: np.ndarray) -> tuple:
+    """(dG/dw(w), the running sum T) after the head block of dG/dw rows, added in turn."""
+    first, t = acc
+    terms = block[:, 0]
+    terms[0] += t
+    # terms[0] of the first block is dG/dw(w), left as it was since t was 0
+    return (terms[0] if first is None else first), _in_order(np.add, terms)
+
+
 def _surface_grad(
     ps: PotentialSeries, ratios: list[float], n_theta: int = 400
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -382,9 +436,9 @@ def _surface_grad(
     2 xi2 and q_1 = p_1 + h. So each dS_j/dxi is +-2 T(w), less dG/dw(w)
     for the sphere's own potential, with the one-sided sums
     T(w) = sum_{k>=0} dG/dw(w + k h) from w = xi1, xi1 + 2 xi2, xi2 and
-    xi2 + 2 xi1: the _HEAD head images from _head_blocks and the
-    Euler-Maclaurin tail of _em_tails, which holds the integral, each
-    asked for the dG/dw row alone. The four
+    xi2 + 2 xi1: the _HEAD head images and the Euler-Maclaurin tail,
+    which holds the integral, of specfun._image_pass, asked for the
+    dG/dw row alone. The four
     start points broadcast against the angles, so the exponentials run
     once per image, and no value sum, theta-derivative or Gauss node is
     needed. No squared norm is formed, so a gradient is finite wherever
@@ -400,14 +454,10 @@ def _surface_grad(
     sh2, st = np.square(np.sin(0.5 * theta)), np.sin(theta)
     w = np.array([xi1, xi1 + 2.0 * xi2, xi2, xi2 + 2.0 * xi1])[:, None]
     # T(w): the head terms dG/dw(w + k h), k < _HEAD, added in turn, then the tail
-    t = 0.0
-    for i, block in enumerate(_head_blocks(w, sh2, st, h, slice(1, 2))):
-        terms = block[:, 0]
-        terms[0] += t
-        t = _in_order(np.add, terms)
-        if i == 0:
-            first = terms[0]  # dG/dw(w), left as it was since t was 0
-    t = t + _em_tails(w + _HEAD * h, sh2, st, h, slice(1, 2))[0]
+    (first, t), tails, _ = _image_pass(
+        w, sh2, st, h, slice(1, 2), np.empty((0, *w.shape)), _one_sided, (None, 0.0)
+    )
+    t = t + tails[0]
     # (xi0, dS_1/dxi, dS_2/dxi) on sphere 1, then on sphere 2
     spheres = (
         (-xi1, 2.0 * t[0] - first[0], -2.0 * t[1]),

@@ -11,18 +11,20 @@ caller asks for the rows it reads.
 
 The batch policy of those sums lives here too. A batch of N points
 sends up to _STACK // N head images through one kernel call
-(_head_blocks); a small batch (at most _SMALL points) adds stacked terms
+(_head_spans); a small batch (at most _SMALL points) adds stacked terms
 with one accumulate and a large one, whose arrays would outgrow the
-cache, in a loop (_in_order, _em_tails). Either way every sum adds its
+cache, in a loop (_in_order, _em_sums). Either way every sum adds its
 terms one at a time in a fixed order, so a point's values are the same
-bits in any batch.
+bits in any batch. The kernel is _parts, then _rows. One pass over the
+images (_image_pass) sends the last head block, the tail start and any
+extra arguments of the caller through one _parts and _rows call, and
+the tail takes its G factors from the rows at the start.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
 
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
@@ -71,7 +73,8 @@ _HEAD = 32  # image terms summed directly
 # 2048 gave the fastest potential_field from 8 to 800 points and was
 # within 5 % of the best at 1 and 1600 points
 _STACK = 2048
-_ROWS = range(3)  # G, dG/dw and sin(theta) G^3, the rows of _kernel and _em_tails
+_IMAGES = np.arange(_HEAD + 1.0)[:, None, None]  # k of the images w + k h, and of the tail start
+_ROWS = range(3)  # G, dG/dw and sin(theta) G^3, the rows of _kernel and of the tails
 _EM_ORDER = 4  # Bernoulli corrections in the tail, B_2 ... B_8
 _B_NEXT = 5.0 / 66.0  # B_10, of the first omitted correction
 _SMALL = _STACK // _HEAD  # a batch of at most this many points stacks everything
@@ -155,9 +158,13 @@ def _parts(w: np.ndarray, sh2: np.ndarray, st: np.ndarray):
     and c^2, with sin^2(theta / 2) = (sin(theta) / 2)^2, whose digits
     survive there; c is 1 elsewhere, and None when no element needed it.
     """
-    e = np.exp(-w)
-    em1 = np.expm1(-w)
-    dd = em1 * em1 + 4.0 * e * sh2
+    # formed in place where the values allow, which keeps a large batch's
+    # temporaries, and the pages they take, down
+    nw = -w
+    e = np.exp(nw)
+    em1 = np.expm1(nw, out=nw)
+    dd = 4.0 * e * sh2
+    dd += em1 * em1
     if dd.min(initial=_TINY) >= _TINY:
         return e, em1, dd, None
     tiny = dd < _TINY
@@ -166,27 +173,27 @@ def _parts(w: np.ndarray, sh2: np.ndarray, st: np.ndarray):
     return e, em1, em1 * em1 + 4.0 * e * np.where(tiny, np.square(0.5 * st * scale), sh2), scale
 
 
-def _kernel(
-    w: np.ndarray, sh2: np.ndarray, st: np.ndarray, rows: slice = slice(None)
-) -> np.ndarray:
-    """G, dG/dw = -sinh(w) G^3 and -dG/dtheta = sin(theta) G^3 at w, as rows 0, 1 and 2.
+def _rows(parts: tuple, st: np.ndarray, ids) -> np.ndarray:
+    """The kernel rows ids (increasing, of 0 = G, 1 = dG/dw and 2 = sin(theta) G^3) from _parts.
 
-    Only the rows in the slice rows are formed, and the result is the
-    whole result's [..., rows, :, :] to the bit. For w, sh2 and st
-    broadcasting to shape (..., R, N) the whole result has shape
-    (..., 3, R, N); w may be (..., R, 1) against angles of shape (N,),
-    which takes the exponentials once per image, not per point. Each
-    derivative scales G by one ratio, so G^3, which overflows once w and
-    theta are both below ~1e-103, is never formed. On the subnormal path
-    of _parts the rows carry 1, 2 and 3 factors of its scale.
+    For parts of shape (..., R, N) the result has shape (..., len(ids), R, N).
+    Each derivative scales G by one ratio, so G^3, which overflows once w
+    and theta are both below ~1e-103, is never formed. On the subnormal
+    path of _parts row r carries r + 1 factors of its scale.
     """
-    e, em1, dd, scale = _parts(w, sh2, st)
-    ids = _ROWS[rows]
+    e, em1, dd, scale = parts
     out = np.empty((*dd.shape[:-2], len(ids), *dd.shape[-2:]))
-    g = np.sqrt(e / dd, out=out[..., 0, :, :] if ids[0] == 0 else None)
+    g = np.divide(e, dd, out=out[..., 0, :, :] if ids[0] == 0 else None)
+    np.sqrt(g, out=g)
     for r, row in enumerate(ids):
         if row:  # the derivatives, G times one ratio
-            ratio = 0.5 * em1 * (1.0 + e) / dd if row == 1 else st * e / dd
+            if row == 1:
+                ratio = 0.5 * em1
+                ratio *= 1.0 + e
+                ratio = ratio / dd
+            else:
+                ratio = st * e
+                ratio /= dd
             np.multiply(ratio, g, out=out[..., r, :, :])
     if scale is not None:
         for r, row in enumerate(ids):
@@ -195,22 +202,37 @@ def _kernel(
     return out
 
 
-def _head_blocks(
-    w: np.ndarray, sh2: np.ndarray, st: np.ndarray, h: float, rows: slice = slice(None)
-) -> Iterator[np.ndarray]:
-    """_kernel at the head images w + k h, k < _HEAD, in blocks of consecutive k.
+def _kernel(
+    w: np.ndarray, sh2: np.ndarray, st: np.ndarray, rows: slice = slice(None)
+) -> np.ndarray:
+    """G, dG/dw = -sinh(w) G^3 and -dG/dtheta = sin(theta) G^3 at w, as rows 0, 1 and 2.
 
-    w has two axes (start points, then points or 1), and the angles give
-    the N points. A block holds up to _STACK // N images, so a small
-    batch sends the whole head through one call and does not pay a round
-    of numpy calls per image, while a large one, whose stack would
-    outgrow the cache, takes one image a call. Concatenated, the blocks
-    are the one _kernel call over all _HEAD images, bit for bit.
+    _parts, then _rows. Only the rows in the slice rows are formed, and
+    the result is the whole result's [..., rows, :, :] to the bit. For
+    w, sh2 and st broadcasting to shape (..., R, N) the whole result has
+    shape (..., 3, R, N); w may be (..., R, 1) against angles of shape
+    (N,), which takes the exponentials once per image, not per point.
     """
-    depth = max(_STACK // max(np.size(sh2), 1), 1)
-    shifts = np.arange(_HEAD) * h
-    for k0 in range(0, _HEAD, depth):
-        yield _kernel(w + shifts[k0:k0 + depth, None, None], sh2, st, rows)
+    return _rows(_parts(w, sh2, st), st, _ROWS[rows])
+
+
+@functools.lru_cache(maxsize=64)
+def _head_spans(n: int, extra: int) -> tuple[slice, ...]:
+    """The head images k < _HEAD in blocks of consecutive k, as slices of _IMAGES.
+
+    A block holds up to _STACK // n images for a batch of n points, so a
+    small batch sends the whole head through one kernel call and does not
+    pay a round of numpy calls per image, while a large one, whose stack
+    would outgrow the cache, takes one image a call. extra more images
+    ride in the last block when it has room for them; otherwise an empty
+    block is added at the end to take them, so no block grows past its
+    share of _STACK.
+    """
+    depth = max(_STACK // max(n, 1), 1)
+    spans = [slice(k0, min(k0 + depth, _HEAD)) for k0 in range(0, _HEAD, depth)]
+    if spans[-1].stop - spans[-1].start + extra > depth:
+        spans.append(slice(_HEAD, _HEAD))
+    return tuple(spans)
 
 
 def _in_order(op: np.ufunc, a: np.ndarray) -> np.ndarray:
@@ -232,32 +254,80 @@ def _in_order(op: np.ufunc, a: np.ndarray) -> np.ndarray:
     return a[-1]
 
 
-def _em_tails(
-    w: np.ndarray, sh2: np.ndarray, st: np.ndarray, h: float, rows: slice = slice(None)
-) -> np.ndarray:
-    """Euler-Maclaurin tails of G, dG/dw and sin(theta) G^3 at the tail start w, stacked.
+def _image_pass(w, sh2, st, h: float, rows: slice, extra: np.ndarray, add, total):
+    """Folds add over the kernel rows of the head images w + k h, k < _HEAD; with the tail.
 
-    Each is f(w) / 2 - sum_j B_2j / (2j)! h^(2j-1) f^(2j-1)(w), the sum
-    over k >= 0 of f(w + k h) less the integral over [w, oo) divided by
-    h, from scaled Taylor coefficients of f; for dG/dw the integral,
-    -G(w) / h, is part of it. With F = 2 (cosh w - cos theta),
-    F(w + h t) / F(w) = 1 + E (cosh ht - 1) + O sinh ht, E = 2 cosh(w) / F
-    and O = 2 sinh(w) / F, so every scaled coefficient of F^(-1/2) and
-    F^(-3/2) is a fixed polynomial in X = h^2 E and Y = h O, and each tail
-    is G or sin(theta) G^3 times sum_m W_m(h) X^i Y^j over the monomials
-    m = (i, j) of _MONOMIALS. As w >= K h, X <= h^2 + 2 / K^2 and
-    Y <= h + 2 / K, so no power overflows however small w and theta are
-    (E and O themselves grow like 1 / w^2 and 1 / w). The monomials are
-    added one at a time in their fixed order: a small batch stacks them
-    all, a large one loops over them and skips those of weight 0 in a
-    tail, which would leave its sum as it is. As in _kernel, only the
-    rows in the slice rows are formed, the result is the whole result's
-    [rows] to the bit, and w may broadcast against the angles; the whole
-    result has shape (3, *joint shape). On the subnormal path of _parts
-    the tails carry 1, 1 and 3 factors of its scale (X and Y take it
-    through h, and the dG/dw weights carry 1 / h).
+    Returns (total, tails, rows at extra): total after add(total, block)
+    for each head block of _head_spans in turn; the Euler-Maclaurin tails
+    of G, dG/dw and sin(theta) G^3 at the tail start w + _HEAD h, the sum
+    over k >= _HEAD less the integral from there divided by h, stacked;
+    and _kernel at the arguments extra, of shape (E, *w.shape). w has two
+    axes (start points, then points or 1) and the angles give the N
+    points; only the rows in the slice rows are formed. The last head
+    block also holds the tail start and extra, so one _parts and _rows
+    pass serves them all; when the head leaves it no room, it holds these
+    alone and add is not called on it. Each tail is its monomial sum
+    (_em_sums) times G, for G and dG/dw, or sin(theta) G^3: the kernel
+    rows at the tail start, or G formed there when rows lacks it. On the
+    subnormal path of _parts these factors carry 1 and 3 factors of its
+    scale, a power of two, so the tails carry 1, 1 and 3. Every value is
+    elementwise, so the blocks are the one _kernel call over all _HEAD
+    images, and the rest the kernel and tail at their own arguments, bit
+    for bit.
     """
-    e, em1, dd, scale = _parts(w, sh2, st)
+    *spans, last = _head_spans(np.size(sh2), 1 + len(extra))
+    for ks in spans:
+        total = add(total, _kernel(w + _IMAGES[ks] * h, sh2, st, rows))
+    k = last.stop - last.start
+    args = np.empty((k + 1 + len(extra), *w.shape))
+    np.add(w, _IMAGES[last.start:] * h, out=args[:k + 1])
+    args[k + 1:] = extra
+    parts = _parts(args, sh2, st)
+    # each array is let go once read, and the tail sums' temporaries before
+    # the rows are formed, which keeps a large batch's peak memory, and the
+    # fresh pages a call touches, down
+    del args
+    start = tuple(None if a is None else a[k] for a in parts)
+    tails = _em_sums(start, h, rows)
+    ids = _ROWS[rows]
+    f = _rows(parts, st, ids)
+    del parts
+    # the factors: G for the first m tails, of G and dG/dw, and sin(theta) G^3
+    # for its own, the last
+    m = len(ids) - (ids[-1] == 2)
+    if m:
+        tails[:m] *= f[k, 0] if ids[0] == 0 else _rows(start, st, (0,))[0]
+    if ids[-1] == 2:
+        tails[-1] *= f[k, -1]
+    if k:
+        total = add(total, f[:k])
+    return total, tails, f[k + 1:]
+
+
+def _em_sums(parts: tuple, h: float, rows: slice) -> np.ndarray:
+    """The Euler-Maclaurin tails of _image_pass in the slice rows, before their factors.
+
+    parts is _parts at the tail start w. Each tail is f(w) / 2 -
+    sum_j B_2j / (2j)! h^(2j-1) f^(2j-1)(w), the sum over k >= 0 of
+    f(w + k h) less the integral over [w, oo) divided by h, from scaled
+    Taylor coefficients of f; for dG/dw the integral, -G(w) / h, is part
+    of it. With F = 2 (cosh w - cos theta), F(w + h t) / F(w) =
+    1 + E (cosh ht - 1) + O sinh ht, E = 2 cosh(w) / F and
+    O = 2 sinh(w) / F, so every scaled coefficient of F^(-1/2) and
+    F^(-3/2) is a fixed polynomial in X = h^2 E and Y = h O, and each
+    tail is G (for G and dG/dw) or sin(theta) G^3 times
+    sum_m W_m(h) X^i Y^j over the monomials m = (i, j) of _MONOMIALS;
+    this is that sum. As w >= K h, X <= h^2 + 2 / K^2 and Y <= h + 2 / K,
+    so no power overflows however small w and theta are (E and O
+    themselves grow like 1 / w^2 and 1 / w). The monomials are added one
+    at a time in their fixed order: a small batch stacks them all, a
+    large one loops over them and skips those of weight 0 in a tail,
+    which would leave its sum as it is. On the subnormal path of _parts
+    X and Y take its scale through h and the dG/dw weights carry 1 / h.
+    The result is the whole result's [rows] to the bit, of shape
+    (3, *joint shape) for all rows.
+    """
+    e, em1, dd, scale = parts
     hs = h if scale is None else h * scale
     x = hs * ((1.0 + e * e) / dd) * hs
     y = hs * (-em1 * (1.0 + e) / dd)
@@ -265,23 +335,15 @@ def _em_tails(
     ids = _ROWS[rows]
     weights = _tail_weights(h)[:, rows]
     if x.shape[-1] <= _SMALL:
-        tails = _in_order(np.add, weights * (xp[_MONO_I] * yp[_MONO_J])[:, None])
-    else:
-        tails = np.zeros((len(ids), *x.shape))
-        mono = np.empty_like(x)
-        for k, (i, j) in enumerate(_MONOMIALS):
-            weighed = [r for r, row in enumerate(ids) if row in _MONO_TAILS[k]]
-            if weighed:
-                np.multiply(xp[i], yp[j], out=mono)
-                for r in weighed:
-                    tails[r] += weights[k, r, 0, 0] * mono
-    g = np.sqrt(e / dd)
-    for r, row in enumerate(ids):
-        tails[r] *= (st * e / dd) * g if row == 2 else g
-    if scale is not None:
-        for r, row in enumerate(ids):
-            for _ in range(3 if row == 2 else 1):
-                tails[r] *= scale
+        return _in_order(np.add, weights * (xp[_MONO_I] * yp[_MONO_J])[:, None])
+    tails = np.zeros((len(ids), *x.shape))
+    mono = np.empty_like(x)
+    for k, (i, j) in enumerate(_MONOMIALS):
+        weighed = [r for r, row in enumerate(ids) if row in _MONO_TAILS[k]]
+        if weighed:
+            np.multiply(xp[i], yp[j], out=mono)
+            for r in weighed:
+                tails[r] += weights[k, r, 0, 0] * mono
     return tails
 
 
@@ -310,7 +372,7 @@ def _tail_weights(h: float) -> np.ndarray:
 def _em_remainder(h: float, w: float) -> float:
     """|B_10| / 10! h^9 |G0^(9)(w)| / G0(w), with G0(w) = 1 / (2 sinh(w / 2)).
 
-    The first Bernoulli correction that _em_tails leaves out of the sum of
+    The first Bernoulli correction that _em_sums leaves out of the sum of
     G0(w + k h) over k >= 0, relative to its first term. G0 = sum_n
     e^{-(n + 1/2) w} is completely monotone, so the remainder lies between
     0 and this correction (DLMF 2.10(i)). With a = h / 2 it is |B_10| / 10!

@@ -338,6 +338,64 @@ def test_error_json_goes_to_stdout(capsys):
     assert "inside resonator" in doc["message"]
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [(["--rho", "2"], "unrecognized arguments: --rho 2"),
+     (["--r1", "x"], "argument --r1: invalid float value: 'x'"),
+     (["--format", "xml"], "argument --format: invalid choice: 'xml'")],
+)
+def test_error_json_covers_argparse_errors(extra, message, capsys):
+    base = ["capacitance", "--r1", "1", "--r2", "2", "--eps", "0.05"]
+    assert run(base + extra + ["--error-json"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.endswith("\n") and out.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["error"] == "ConfigError"
+    assert doc["message"].startswith(message)
+    # without the flag argparse prints usage and its message on stderr, as ever
+    with pytest.raises(SystemExit) as exc:
+        run(base + extra)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: bisphere")
+    assert err.endswith(f": error: {doc['message']}\n")
+
+
+def test_help_with_error_json_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["capacitance", "--help", "--error-json"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bisphere capacitance")
+
+
+_REGIME = ["--r1", "1", "--r2", "2", "--beta", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["resonances", "--delta", "1e-2", *_REGIME],
+     ["resonances", "--delta-grid", "1e-3:1e-2:2", *_REGIME],
+     ["scattering", "--delta", "1e-2", *_REGIME, "--omega-grid", "0.02:0.1:3"]],
+    ids=["resonances", "resonances-grid", "scattering"],
+)
+@pytest.mark.parametrize("key", ["rho_b", "kappa_b"])
+def test_regime_mode_refuses_an_interior_material(argv, key, tmp_path, capsys):
+    # regime mode sets rho_b = delta rho and kappa_b = delta kappa, so a
+    # given interior material, as a flag or a config key, is refused by name
+    assert run(argv) == 0
+    capsys.readouterr()
+    flag = "--" + key.replace("_", "-")
+    assert run(argv + [flag, "0.5"]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "regime mode" in err and f"{key} = delta" in err
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({key: 7.0}))
+    assert run(argv + ["--config", str(cfg)]) == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_blowup_small_grid(tmp_path):
     out = tmp_path / "blowup.csv"
     rc = run(

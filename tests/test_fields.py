@@ -26,9 +26,10 @@ from bisphere import (
 from bisphere.fields import (
     _GAUSS,
     _HEAD,
-    _em_tails,
+    _PAIR_SIGNS,
+    _add_images,
     _image_sums,
-    _kernel,
+    _in_order,
     _surface_grad,
     _surface_grad_max,
     potential_field,
@@ -39,7 +40,41 @@ from bisphere.oracle import (
     legendre_strip_sums,
     miller_em_tails,
 )
-from bisphere.specfun import _MONOMIALS, _STACK, _TAIL_WEIGHTS, _head_blocks, _parts
+from bisphere.specfun import (
+    _IMAGES,
+    _MONOMIALS,
+    _ROWS,
+    _STACK,
+    _TAIL_WEIGHTS,
+    _em_sums,
+    _head_spans,
+    _image_pass,
+    _kernel,
+    _parts,
+)
+
+
+def _image_sums_at(frame, xi, theta, grad=True):
+    """_image_sums with the half-angle terms that potential_field forms for it."""
+    return _image_sums(frame, xi, np.square(np.sin(0.5 * theta)), np.sin(theta), grad)
+
+
+def _tails_at(w, sh2, st, h, rows=slice(None)):
+    """The Euler-Maclaurin tails of specfun._image_pass from w, at the tail start w + _HEAD h."""
+    return _image_pass(w, sh2, st, h, rows, np.empty((0, *w.shape)), lambda t, _: t, None)[1]
+
+
+def _tails_reference(w, sh2, st, h, rows=slice(None)):
+    """The tails at the tail start w, _em_sums times G or sin(theta) G^3 of a kernel call of their own.
+
+    The tail as it was formed before it shared the kernel pass of
+    specfun._image_pass, kept as the reference for that pass.
+    """
+    tails = _em_sums(_parts(w, sh2, st), h, rows)
+    for r, row in enumerate(_ROWS[rows]):
+        factor = slice(2, 3) if row == 2 else slice(0, 1)
+        tails[r] *= _kernel(w, sh2, st, factor)[0]
+    return tails
 
 
 def _thetas(n=200):
@@ -67,7 +102,7 @@ def test_image_kernel_matches_legendre_series(eps):
     cases.append((np.full(300, frame.xi2), theta))  # one sphere surface
     cases.append((np.where(theta < 1.5, -frame.xi1, frame.xi2), theta))  # both
     for xi, th in cases:
-        val, dxi, dth = _image_sums(frame, xi, th)
+        val, dxi, dth = _image_sums_at(frame, xi, th)
         d = 2.0 * (np.sinh(0.5 * xi) ** 2 + np.sin(0.5 * th) ** 2)
         root = np.sqrt(2.0 * d)  # V_j = root * S_j
         for j in (1, 2):
@@ -124,13 +159,13 @@ def test_image_sums_equal_a_plain_loop_at_every_batch_size(eps):
     theta[:60] = rng.choice([0.0, math.pi, 1e-9, math.pi - 1e-9], 60)  # poles, axis
     order = rng.permutation(n)
     xi, theta = xi[order], theta[order]
-    got = np.stack(_image_sums(frame, xi, theta))
+    got = np.stack(_image_sums_at(frame, xi, theta))
     assert np.all(np.isfinite(got))
     for size in (1, 2, 7, 8, 9, 31, 32, 33, 63, 64, 65, 66, 255, 256, 257, 800, 1024, 1025):
-        np.testing.assert_array_equal(np.stack(_image_sums(frame, xi[:size], theta[:size])),
+        np.testing.assert_array_equal(np.stack(_image_sums_at(frame, xi[:size], theta[:size])),
                                       got[..., :size])
     for i in range(n):
-        np.testing.assert_array_equal(np.stack(_image_sums(frame, xi[i:i + 1], theta[i:i + 1])),
+        np.testing.assert_array_equal(np.stack(_image_sums_at(frame, xi[i:i + 1], theta[i:i + 1])),
                                       got[..., i:i + 1])
     want = np.stack(_image_sums_loop(frame, xi, theta))
     d = 2.0 * (np.sinh(0.5 * xi) ** 2 + np.sin(0.5 * theta) ** 2)
@@ -158,12 +193,92 @@ def test_value_only_image_sums_are_the_value_row_of_the_full_sums(eps):
     theta[:60] = rng.choice([0.0, math.pi, 1e-200, 5e-324], 60)
     for size in (1, 64, 65, 400, n):
         with np.errstate(over="ignore", invalid="ignore"):
-            full = _image_sums(frame, xi[:size], theta[:size])
+            full = _image_sums_at(frame, xi[:size], theta[:size])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _image_sums(frame, xi[:size], theta[:size], grad=False)
+            got = _image_sums_at(frame, xi[:size], theta[:size], grad=False)
         assert got.shape == (1, 2, size)
         assert np.array_equal(got, full[:1])
+
+
+def _image_sums_three_pass(frame, xi, theta, grad=True):
+    """The image sums as three kernel passes: head blocks, tail start, then Gauss nodes.
+
+    _image_sums as it was before the last head block, the tail start and
+    the Gauss nodes came to share one _parts and _rows pass, kept as the
+    reference for that pass (specfun._image_pass): here the tail forms its
+    own G and sin(theta) G^3 factors, and the eight nodes go through one
+    _kernel call as a (4, 2, N) stack.
+    """
+    s = frame.xi1 + frame.xi2
+    h = 2.0 * s
+    sh2, st = np.square(np.sin(0.5 * theta)), np.sin(theta)
+    w = np.stack([2.0 * frame.xi1 + xi, 2.0 * frame.xi2 - xi, 2.0 * s - xi, 2.0 * s + xi])
+    rows, nodes = (slice(None), slice(None, None, 2)) if grad else (slice(0, 1), slice(0, 1))
+    sums = 0.0
+    # the head blocks of up to _STACK // N images each
+    depth = max(_STACK // w.shape[-1], 1)
+    for k0 in range(0, _HEAD, depth):
+        shifts = (np.arange(_HEAD) * h)[k0:k0 + depth, None, None]
+        sums = _add_images(sums, _kernel(w + shifts, sh2, st, rows))
+    w = w + _HEAD * h
+    tails = _tails_reference(w, sh2, st, h, rows)
+    mid, half = 0.5 * (w[:2] + w[2:]), 0.5 * (w[2:] - w[:2])
+    g = _kernel(mid + _THREE_PASS_NODES * half, sh2, st, nodes)
+    g *= _THREE_PASS_WEIGHTS
+    sums[0::2] += half / h * _in_order(np.add, g)
+    sums += tails[:, :2] + _PAIR_SIGNS[rows] * tails[:, 2:]
+    if grad:
+        sums[1, 1] = -sums[1, 1]
+        sums[2] = -sums[2]
+    return sums
+
+
+_THREE_PASS_NODES = np.array([sign * t for t, _ in _GAUSS for sign in (-1.0, 1.0)])[:, None, None]
+_THREE_PASS_WEIGHTS = np.repeat([weight for _, weight in _GAUSS], 2)[:, None, None, None]
+
+
+@pytest.mark.parametrize("eps", [0.05, 1e-6, 1e-300])
+def test_image_sums_equal_the_three_pass_reference(eps):
+    # one _parts and _rows pass for the last head block, the tail start and
+    # the Gauss nodes keeps every bit of the three passes, with and without
+    # the derivative rows, at batch sizes on both sides of each block
+    # boundary: up to 58 points all 35 images are one block, from 59 to 64
+    # the head is one and the tail start and Gauss nodes another, above 64
+    # the head takes two or more, and from 1025 each head image is a block
+    frame = frame_from_pair(ResonatorPair(1.0, 2.0, eps))
+    rng = np.random.default_rng(23)
+    n = 2049
+    xi = rng.uniform(-frame.xi1, frame.xi2, n)
+    theta = rng.uniform(0.0, math.pi, n)
+    xi[:300] = np.where(rng.random(300) < 0.5, -frame.xi1, frame.xi2)
+    theta[:60] = rng.choice([0.0, math.pi, 1e-9, math.pi - 1e-9], 60)
+    order = rng.permutation(n)
+    xi, theta = xi[order], theta[order]
+    for size in (1, 57, 58, 59, 64, 65, 400, 1025, 2049):
+        for grad in (True, False):
+            got = _image_sums_at(frame, xi[:size], theta[:size], grad)
+            want = _image_sums_three_pass(frame, xi[:size], theta[:size], grad)
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("size", [1, 58, 59, 65, 400, 1025])
+def test_value_image_sums_equal_the_three_pass_reference_below_subnormal_starts(size):
+    # radii (1000, 2000) at eps = 1e-310 put the tail start of p_1 near
+    # sphere 1 at ~4e-155, so with tiny angles D is subnormal there and the
+    # kernel rows carry the scale of _parts; the value row keeps its bits,
+    # and takes no warning
+    frame = frame_from_pair(ResonatorPair(1000.0, 2000.0, 1e-310))
+    rng = np.random.default_rng(29)
+    xi = np.where(rng.random(size) < 0.7, -frame.xi1, rng.uniform(-frame.xi1, frame.xi2, size))
+    theta = rng.choice([0.0, 5e-324, 1e-300, 1e-200, 1e-160, 0.5, math.pi], size)
+    start = 2.0 * frame.xi1 + xi + _HEAD * 2.0 * (frame.xi1 + frame.xi2)
+    assert start.min() < 1e-154
+    assert _parts(start, np.square(np.sin(0.5 * theta)), np.sin(theta))[3] is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _image_sums_at(frame, xi, theta, grad=False)
+    np.testing.assert_array_equal(got, _image_sums_three_pass(frame, xi, theta, grad=False))
 
 
 def _tail_weights_from_millers_recurrence():
@@ -251,11 +366,11 @@ def test_kernel_and_tails_broadcast_start_points_bit_for_bit(n):
     theta = np.append(np.linspace(0.0, math.pi, n - 1), 1e-200)[-n:]
     sh2, st = np.square(np.sin(0.5 * theta)), np.sin(theta)
     w = np.array([1e-150, 3e-3, 0.7, 4.0])[:, None]
-    h = 3e-152  # a tail start w is at least _HEAD h
+    h = 3e-152  # the tail start w + _HEAD h is at least _HEAD h
     full = np.repeat(w, n, axis=1)
     shifts = (np.arange(_HEAD) * h)[:, None, None]
     assert np.array_equal(_kernel(w + shifts, sh2, st), _kernel(full + shifts, sh2, st))
-    assert np.array_equal(_em_tails(w, sh2, st, h), _em_tails(full, sh2, st, h))
+    assert np.array_equal(_tails_at(w, sh2, st, h), _tails_at(full, sh2, st, h))
 
 
 @pytest.mark.parametrize("n", [5, 64, 65, 200])
@@ -274,24 +389,31 @@ def test_kernel_and_tails_rows_are_slices_of_the_full_call(tiny, n):
     heads = w + (np.arange(_HEAD) * h)[:, None, None]
     # the derivative rows overflow to inf where w and theta are both tiny
     with np.errstate(over="ignore"):
-        kernel, tails = _kernel(heads, sh2, st), _em_tails(w, sh2, st, h)
+        kernel, tails = _kernel(heads, sh2, st), _tails_at(w, sh2, st, h)
         # G, dG/dw, sin(theta) G^3 alone, then each pair
         for rows in (slice(0, 1), slice(1, 2), slice(2, 3), slice(0, 2), slice(0, 3, 2),
                      slice(1, 3)):
             assert np.array_equal(_kernel(heads, sh2, st, rows), kernel[:, rows])
-            assert np.array_equal(_em_tails(w, sh2, st, h, rows), tails[rows])
+            assert np.array_equal(_tails_at(w, sh2, st, h, rows), tails[rows])
     assert (_parts(heads, sh2, st)[3] is not None) == tiny
     assert (_parts(w, sh2, st)[3] is not None) == tiny
 
 
-@pytest.mark.parametrize("n", [1, 64, 65, 400, 2049])
+_EXTRA_SHIFTS = np.array([_HEAD + 0.25, _HEAD + 0.75])[:, None, None]
+
+
+@pytest.mark.parametrize("n", [1, 57, 62, 63, 64, 65, 400, 1025, 2049])
 @pytest.mark.parametrize("tiny", [False, True], ids=["normal", "subnormal"])
 def test_head_blocks_concatenate_to_one_kernel_call(tiny, n):
-    # the head blocks of a batch of n points, up to _STACK // n images each
-    # (one image a block above _STACK points), are the one _kernel call over
-    # all _HEAD images to the bit, for start points per point (as in
-    # _image_sums) and shared by the angles (as in _surface_grad); with tiny
-    # start points and angles D is subnormal and the rows carry the scale
+    # the head blocks of one _image_pass over a batch of n points, up to
+    # _STACK // n images each (one image a block above _STACK points), are
+    # the one _kernel call over all _HEAD images to the bit, and its tails
+    # and extra rows the tails and the kernel at their own arguments,
+    # whether the last block holds them (n <= 58 with two extra images,
+    # n <= 62 with none, 65 and 400) or they come alone (63, 64 and from
+    # 1025); for start points per point (as in _image_sums) and shared by
+    # the angles (as in _surface_grad). With tiny start points and angles
+    # D is subnormal and the rows carry the scale
     theta = np.linspace(0.0, math.pi, n)
     if tiny:
         theta[: n // 2 + 1] = np.geomspace(5e-324, 1e-155, n // 2 + 1)
@@ -300,15 +422,24 @@ def test_head_blocks_concatenate_to_one_kernel_call(tiny, n):
         w, h = np.array([1e-3, 3e-2, 0.7, 4.0])[:, None], 3e-5
     sh2, st = np.square(np.sin(0.5 * theta)), np.sin(theta)
     shifts = (np.arange(_HEAD) * h)[:, None, None]
+
+    def collect(blocks, block):
+        return [*blocks, block]
+
     # the derivative rows overflow to inf where w and theta are both tiny
     with np.errstate(over="ignore"):
         for starts in (w, np.repeat(w, n, axis=1)):
-            blocks = list(_head_blocks(starts, sh2, st, h))
-            assert len(blocks) == -(-_HEAD // max(_STACK // n, 1))
-            assert np.array_equal(np.concatenate(blocks), _kernel(starts + shifts, sh2, st))
-            for rows in (slice(0, 1), slice(1, 2)):
-                got = np.concatenate(list(_head_blocks(starts, sh2, st, h, rows)))
-                assert np.array_equal(got, _kernel(starts + shifts, sh2, st, rows))
+            # no extra argument, or two pseudo-images past the tail start
+            for extra in (np.empty((0, *starts.shape)), starts + _EXTRA_SHIFTS * h):
+                for rows in (slice(None), slice(0, 1), slice(1, 2)):
+                    blocks, tails, got = _image_pass(starts, sh2, st, h, rows, extra, collect, [])
+                    spans = _head_spans(n, 1 + len(extra))
+                    assert len(blocks) == sum(ks.stop > ks.start for ks in spans)
+                    want = _kernel(starts + shifts, sh2, st, rows)
+                    assert np.array_equal(np.concatenate(blocks), want)
+                    want = _tails_reference(starts + _IMAGES[_HEAD] * h, sh2, st, h, rows)
+                    assert np.array_equal(tails, want)
+                    assert np.array_equal(got, _kernel(extra, sh2, st, rows))
 
 
 @pytest.mark.parametrize("eps", [1e-1, 1e-6])
@@ -320,9 +451,9 @@ def test_em_tails_against_mpmath_taylor(eps, theta):
     h = 2.0 * s
     xi = np.array([-frame.xi1, 0.3 * frame.xi2, frame.xi2])
     w = np.stack([2.0 * frame.xi1 + xi, 2.0 * s - xi, 2.0 * frame.xi2 - xi, 2.0 * s + xi])
-    w = w + _HEAD * h
     th = np.full(xi.size, theta)
-    got = _em_tails(w, np.square(np.sin(0.5 * th)), np.sin(th), h)
+    got = _tails_at(w, np.square(np.sin(0.5 * th)), np.sin(th), h)
+    w = w + _HEAD * h
     worst = 0.0
     with mpmath.workdps(40):
         bernoulli = [mpmath.bernoulli(2 * j) for j in range(1, 5)]
@@ -388,6 +519,26 @@ def test_boundary_traces_at_underflowing_gaps(eps):
                 assert np.max(np.abs(v[j] - want[j])) <= 4e-15
 
 
+def test_gradient_beyond_the_double_range_raises_overflow_error():
+    # below eps ~ 1e-305 the gradient near the gap passes the double range;
+    # at these points every component was +-inf or NaN, with four
+    # RuntimeWarnings. V stays finite, and a value-only call warns of nothing
+    def points(frame):
+        return [frame.xi2, 0.0, -frame.xi1, 0.0], [1e-200, 1e-160, math.pi / 2, 0.5]
+
+    phi = [0.3] * 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        frame = frame_from_pair(ResonatorPair(1.0, 2.0, 1e-310))
+        ps = potential_series(frame, tol=1e-10)
+        assert np.all(np.isfinite(potential_field(ps, *points(frame)).v))
+        with pytest.raises(OverflowError, match=r"at 4 of 4 points for the gap eps = 1e-310"):
+            potential_field(ps, *points(frame), phi)
+        frame = frame_from_pair(ResonatorPair(1.0, 2.0, 1e-305))
+        f = potential_field(potential_series(frame, tol=1e-10), *points(frame), phi)
+        assert np.all(np.isfinite(f.v)) and np.all(np.isfinite(f.grad))
+
+
 def test_interior_point_rejected(frame_12, series_12):
     inside = BisphericalPoint(frame_12.xi2 + 0.05, 1.0, 0.0)
     with pytest.raises(ValueError, match="inside resonator 2"):
@@ -414,6 +565,29 @@ def test_potential_field_rejects_bad_inputs(frame_12, series_12):
     with pytest.raises(ValueError, match="phi has shape"):
         potential_field(series_12, xi, theta, [0.0])
     assert potential_field(series_12, xi, theta, phi).grad.shape == (2, 3, 2)
+    # finite inputs whose sum overflows are valid, and warn of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = potential_field(series_12, xi, theta, [1e308, 1e308])
+        assert np.all(np.isfinite(f.grad))
+
+
+def test_gradient_at_the_point_at_infinity_raises_value_error(series_12):
+    # xi = theta = 0 is the point at infinity: V is 0 there, and the gradient
+    # has no limit (sinh(xi) / sqrt(2 d) is 0 / 0), at any gap
+    for eps, ps in ((0.05, series_12),
+                    (1e-310, potential_series(frame_from_pair(ResonatorPair(1.0, 2.0, 1e-310))))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(potential_field(ps, [0.0, 0.0], [0.0, 1.0]).v[:, 0], [0.0, 0.0])
+            with pytest.raises(ValueError, match=r"point at infinity.*\(1 of 2 points\)"):
+                potential_field(ps, [0.0, 0.0], [0.0, 1.0], [0.3, 0.3])
+
+
+def test_potential_field_of_no_points_is_empty(series_12):
+    f = potential_field(series_12, [], [], [])
+    assert f.v.shape == (2, 0) and f.grad.shape == (2, 3, 0)
+    assert potential_field(series_12, [], []).v.shape == (2, 0)
 
 
 def test_far_field_charge(frame_12, series_12, cap_12):
