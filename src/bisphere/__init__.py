@@ -2,9 +2,10 @@
 
 Exact bispherical-series capacitance, leading-order resonant frequencies
 and eigenmodes, gap-gradient blow-up rates, and low-frequency scattering
-response, all cross-checked against independent brute-force oracles.
-The oracles live in `bisphere.oracle`, which the package namespace does
-not import.
+amplitudes, all cross-checked against independent brute-force oracles.
+Points enter as bispherical points or as plain (x1, x2, x3) triples.
+The oracles, the forward map `to_cartesian` among them, live in
+`bisphere.oracle`, which the package namespace does not import.
 """
 
 __version__ = "0.1.0"
@@ -40,20 +41,16 @@ from .fields import (
 from .geometry import (
     BisphericalFrame,
     BisphericalPoint,
-    CartesianPoint,
     ResonatorPair,
-    boundary_distance,
     classify,
     epsilon_from_regime,
     frame_from_pair,
     log_epsilon_from_regime,
     to_bispherical,
-    to_cartesian,
 )
 from .scattering import (
     IncidentWave,
     ModalCoefficients,
-    eval_scattered,
     modal_coefficients,
     response_curve,
 )
@@ -75,7 +72,6 @@ __all__ = [
     "BisphericalPoint",
     "BlowupStudy",
     "CapacitanceMatrix",
-    "CartesianPoint",
     "ConfigError",
     "GAMMA_EULER",
     "GradientStudyRow",
@@ -94,7 +90,6 @@ __all__ = [
     "SpectralPair",
     "TruncationCapError",
     "blowup_study",
-    "boundary_distance",
     "capacitance_asymptotic_rescaled",
     "capacitance_exact",
     "classify",
@@ -103,7 +98,6 @@ __all__ = [
     "epsilon_from_regime",
     "eval_grad_mode",
     "eval_potential",
-    "eval_scattered",
     "frame_from_pair",
     "h_decomposition",
     "log_epsilon_from_regime",
@@ -116,5 +110,4 @@ __all__ = [
     "response_curve",
     "sigma_terms",
     "to_bispherical",
-    "to_cartesian",
 ]

@@ -175,6 +175,55 @@ def rescale(c: CapacitanceMatrix, pair: ResonatorPair) -> RescaledCapacitance:
     )
 
 
+def _tails(frame: BisphericalFrame) -> tuple[float, float]:
+    """The digamma tails of rows 1 and 2: digamma_series_tail(xi2, xi1) and (xi1, xi2)."""
+    return (
+        digamma_series_tail(frame.xi2, frame.xi1),
+        digamma_series_tail(frame.xi1, frame.xi2),
+    )
+
+
+def _sigma(frame: BisphericalFrame, pair: ResonatorPair, tails) -> SigmaTerms:
+    """sigma_terms from the tails of _tails."""
+    t1, t2 = tails
+    factor = 3.0 * frame.alpha / (frame.xi1 + frame.xi2)
+    return SigmaTerms(sigma1=factor / pair.r1**3 * t1, sigma2=factor / pair.r2**3 * t2)
+
+
+def _asymptotic(
+    frame: BisphericalFrame, pair: ResonatorPair, tails=None
+) -> RescaledCapacitance:
+    """capacitance_asymptotic_rescaled at a built frame, from the tails of _tails.
+
+    The gap is checked first, and the tails are formed only when not
+    given. The warning points at the line that called this helper's
+    caller.
+    """
+    s = frame.xi1 + frame.xi2
+    if s >= 2.0:
+        raise ValueError(
+            f"asymptotic form needs xi1 + xi2 < 2, got {s:.3f}; the gap is too large"
+        )
+    if s > 0.7:
+        warnings.warn(
+            f"gap eps={pair.epsilon:g} gives xi1+xi2={s:.2f}; the leading-order "
+            "capacitance formulas are crude this far from touching",
+            stacklevel=3,
+        )
+    t1, t2 = _tails(frame) if tails is None else tails
+    f1 = 3.0 * frame.alpha / (pair.r1**3 * s)
+    f2 = 3.0 * frame.alpha / (pair.r2**3 * s)
+    off = math.log(2.0 / s) + GAMMA_EULER  # log(2/s) - psi(1)
+    return RescaledCapacitance(
+        ct11=f1 * (off + t1),
+        ct12=-f1 * off,
+        ct21=-f2 * off,
+        ct22=f2 * (off + t2),
+        vol1=pair.volume1,
+        vol2=pair.volume2,
+    )
+
+
 def sigma_terms(frame: BisphericalFrame, pair: ResonatorPair) -> SigmaTerms:
     """Correction terms sigma_i = 3 alpha / (r_i^3 s) * sum z_i/(n(n-z_i)).
 
@@ -184,12 +233,7 @@ def sigma_terms(frame: BisphericalFrame, pair: ResonatorPair) -> SigmaTerms:
     is what makes these the O(1) part of the small eigenvalue near
     touching.
     """
-    s = frame.xi1 + frame.xi2
-    factor = 3.0 * frame.alpha / s
-    return SigmaTerms(
-        sigma1=factor / pair.r1**3 * digamma_series_tail(frame.xi2, frame.xi1),
-        sigma2=factor / pair.r2**3 * digamma_series_tail(frame.xi1, frame.xi2),
-    )
+    return _sigma(frame, pair, _tails(frame))
 
 
 def capacitance_asymptotic_rescaled(pair: ResonatorPair) -> RescaledCapacitance:
@@ -204,26 +248,4 @@ def capacitance_asymptotic_rescaled(pair: ResonatorPair) -> RescaledCapacitance:
     clearly outside the asymptotic regime and the evaluation refuses to
     run for s >= 2 where log(2/s) changes sign.
     """
-    frame = frame_from_pair(pair)
-    s = frame.xi1 + frame.xi2
-    if s >= 2.0:
-        raise ValueError(
-            f"asymptotic form needs xi1 + xi2 < 2, got {s:.3f}; the gap is too large"
-        )
-    if s > 0.7:
-        warnings.warn(
-            f"gap eps={pair.epsilon:g} gives xi1+xi2={s:.2f}; the leading-order "
-            "capacitance formulas are crude this far from touching",
-            stacklevel=2,
-        )
-    f1 = 3.0 * frame.alpha / (pair.r1**3 * s)
-    f2 = 3.0 * frame.alpha / (pair.r2**3 * s)
-    off = math.log(2.0 / s) + GAMMA_EULER  # log(2/s) - psi(1)
-    return RescaledCapacitance(
-        ct11=f1 * (off + digamma_series_tail(frame.xi2, frame.xi1)),
-        ct12=-f1 * off,
-        ct21=-f2 * off,
-        ct22=f2 * (off + digamma_series_tail(frame.xi1, frame.xi2)),
-        vol1=pair.volume1,
-        vol2=pair.volume2,
-    )
+    return _asymptotic(frame_from_pair(pair), pair)

@@ -32,12 +32,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .capacitance import (
-    capacitance_asymptotic_rescaled,
-    capacitance_exact,
-    rescale,
-    sigma_terms,
-)
+from .capacitance import _asymptotic, _sigma, _tails, capacitance_exact, rescale
 from .errors import (
     ConfigError,
     PoleProximityError,
@@ -228,9 +223,12 @@ def _parse_grid(text: str, *, log_scale: bool, name: str) -> list[float]:
             else:
                 vals = np.linspace(lo, hi, n)
             return [float(v) for v in vals]
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        vals = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad {name} grid {text!r}: {exc}") from exc
+    if not vals:
+        raise ConfigError(f"--{name}-grid {text!r} holds no values")
+    return vals
 
 
 def _parse_vec3(text: str, name: str) -> tuple[float, float, float]:
@@ -302,9 +300,11 @@ def _cap_row(r1: float, r2: float, eps: float, tol: float) -> list[float]:
     frame = frame_from_pair(pair)
     cmat = capacitance_exact(frame, tol=tol)
     ct = rescale(cmat, pair)
-    st = sigma_terms(frame, pair)
+    # one frame and one pair of digamma tails for the sigma and asymptotic columns
+    tails = _tails(frame)
+    st = _sigma(frame, pair, tails)
     try:
-        asym = capacitance_asymptotic_rescaled(pair)
+        asym = _asymptotic(frame, pair, tails)
         a_vals = [asym.ct11, asym.ct12, asym.ct21, asym.ct22]
     except ValueError:
         a_vals = [math.nan] * 4

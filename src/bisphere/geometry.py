@@ -76,13 +76,6 @@ class BisphericalPoint:
     phi: float
 
 
-@dataclass(frozen=True)
-class CartesianPoint:
-    x1: float
-    x2: float
-    x3: float
-
-
 def frame_from_pair(pair: ResonatorPair) -> BisphericalFrame:
     """Build the bispherical frame with limit points at (0, 0, +-alpha).
 
@@ -106,37 +99,8 @@ def frame_from_pair(pair: ResonatorPair) -> BisphericalFrame:
     )
 
 
-def to_cartesian(frame: BisphericalFrame, p: BisphericalPoint) -> CartesianPoint:
-    """Map (xi, theta, phi) to Cartesian coordinates.
-
-    x3 = alpha sinh(xi) / (cosh(xi) - cos(theta)), the transverse radius is
-    alpha sin(theta) / (cosh(xi) - cos(theta)). The point xi = 0, theta = 0
-    is the point at infinity and is rejected. The denominator is formed
-    as 2*(sinh(xi/2)^2 + sin(theta/2)^2), which is the same quantity
-    without the cancellation the direct difference suffers when both
-    angles are small.
-    """
-    d = 2.0 * (math.sinh(0.5 * p.xi) ** 2 + math.sin(0.5 * p.theta) ** 2)
-    if d == 0.0:
-        raise ValueError("xi=0, theta=0 is the point at infinity")
-    rho = frame.alpha * math.sin(p.theta) / d
-    return CartesianPoint(
-        x1=rho * math.cos(p.phi),
-        x2=rho * math.sin(p.phi),
-        x3=frame.alpha * math.sinh(p.xi) / d,
-    )
-
-
-def _as_cartesian(p) -> CartesianPoint:
-    """Accept a CartesianPoint or any (x1, x2, x3) triple."""
-    if isinstance(p, CartesianPoint):
-        return p
-    x1, x2, x3 = (float(v) for v in p)
-    return CartesianPoint(x1=x1, x2=x2, x3=x3)
-
-
 def to_bispherical(frame: BisphericalFrame, p) -> BisphericalPoint:
-    """Invert the coordinate map in closed form.
+    """Invert the coordinate map in closed form; p is any (x1, x2, x3) triple.
 
     With R1, R2 the distances to the limit points (0, 0, -alpha) and
     (0, 0, +alpha), R1^2 - R2^2 = 4 alpha x3, so
@@ -152,46 +116,38 @@ def to_bispherical(frame: BisphericalFrame, p) -> BisphericalPoint:
     square finite. Non-finite coordinates and the limit points, which
     have no preimage, are rejected.
     """
-    p = _as_cartesian(p)
-    if not all(math.isfinite(c) for c in (p.x1, p.x2, p.x3)):
-        raise ValueError(f"point ({p.x1}, {p.x2}, {p.x3}) is not finite")
-    scale = math.ldexp(1.0, -math.frexp(max(abs(p.x1), abs(p.x2), abs(p.x3), frame.alpha))[1])
-    x1, x2, x3, al = p.x1 * scale, p.x2 * scale, p.x3 * scale, frame.alpha * scale
-    rho2 = x1 * x1 + x2 * x2
-    near = rho2 + (abs(x3) - al) ** 2
+    x1, x2, x3 = map(float, p)
+    if not all(math.isfinite(c) for c in (x1, x2, x3)):
+        raise ValueError(f"point ({x1}, {x2}, {x3}) is not finite")
+    scale = math.ldexp(1.0, -math.frexp(max(abs(x1), abs(x2), abs(x3), frame.alpha))[1])
+    y1, y2, y3, al = x1 * scale, x2 * scale, x3 * scale, frame.alpha * scale
+    rho2 = y1 * y1 + y2 * y2
+    near = rho2 + (abs(y3) - al) ** 2
     if near == 0.0:
         raise ValueError("limit points (0, 0, +-alpha) have no bispherical image")
-    xi = math.copysign(0.5 * math.log1p(4.0 * al * abs(x3) / near), x3)
-    theta = math.atan2(2.0 * al * math.sqrt(rho2), rho2 + x3 * x3 - al * al)
-    phi = math.atan2(p.x2, p.x1) % _TWO_PI
+    xi = math.copysign(0.5 * math.log1p(4.0 * al * abs(y3) / near), y3)
+    theta = math.atan2(2.0 * al * math.sqrt(rho2), rho2 + y3 * y3 - al * al)
+    phi = math.atan2(x2, x1) % _TWO_PI
     return BisphericalPoint(xi=xi, theta=theta, phi=phi)
 
 
 def classify(frame: BisphericalFrame, p) -> str:
-    """Locate a Cartesian point relative to the two spheres.
+    """Locate a Cartesian point, any (x1, x2, x3) triple, relative to the two spheres.
 
     Returns one of REGION_INSIDE_D1, REGION_INSIDE_D2, REGION_EXTERIOR,
     REGION_BOUNDARY; boundary means within 1e-12 r_i of sphere i.
     """
-    p = _as_cartesian(p)
+    x1, x2, x3 = map(float, p)
     for center, radius, inside in (
         (frame.c1, frame.r1, REGION_INSIDE_D1),
         (frame.c2, frame.r2, REGION_INSIDE_D2),
     ):
-        dist = math.hypot(p.x1, p.x2, p.x3 - center)
+        dist = math.hypot(x1, x2, x3 - center)
         if abs(dist - radius) <= 1e-12 * radius:
             return REGION_BOUNDARY
         if dist < radius:
             return inside
     return REGION_EXTERIOR
-
-
-def boundary_distance(frame: BisphericalFrame, p) -> float:
-    """Signed distance to the nearest sphere surface (negative inside)."""
-    p = _as_cartesian(p)
-    d1 = math.hypot(p.x1, p.x2, p.x3 - frame.c1) - frame.r1
-    d2 = math.hypot(p.x1, p.x2, p.x3 - frame.c2) - frame.r2
-    return min(d1, d2)
 
 
 def log_epsilon_from_regime(delta: float, beta: float, c0: float) -> float:

@@ -1,11 +1,12 @@
-"""Independent brute-force verifiers: image charges, Legendre and n-series, flux, FD.
+"""Independent verifiers: forward map, image charges, Legendre and n-series, flux, FD.
 
-The image-charge iteration is classical electrostatics on the axis and
-shares no math with the series modules. The bispherical n-series of the
-capacitance sums term by term what `capacitance` sums over images with
-an Euler-Maclaurin tail. The Legendre series sums the
-potentials degree by degree, the form the image-sum kernel of `fields`
-resums, and shares no code with it. Miller's recurrence gives the
+The closed-form forward map to_cartesian checks its inverse,
+`geometry.to_bispherical`. The image-charge iteration is classical
+electrostatics on the axis and shares no math with the series modules.
+The bispherical n-series of the capacitance sums term by term what
+`capacitance` sums over images with an Euler-Maclaurin tail. The
+Legendre series sums the potentials degree by degree, the form the
+image-sum kernel of `fields` resums, and shares no code with it. Miller's recurrence gives the
 kernel's Euler-Maclaurin tail term by term, where `fields` uses a closed
 form. The flux quadrature integrates the
 normal derivative of the public field evaluator over a sphere, which
@@ -25,10 +26,27 @@ import numpy as np
 
 from .capacitance import CapacitanceMatrix
 from .fields import PotentialSeries, potential_field
-from .geometry import BisphericalFrame, ResonatorPair
+from .geometry import BisphericalFrame, BisphericalPoint, ResonatorPair
 
 _FOUR_PI = 4.0 * math.pi
 _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)  # B_2 ... B_8
+
+
+def to_cartesian(frame: BisphericalFrame, p: BisphericalPoint) -> tuple[float, float, float]:
+    """Map (xi, theta, phi) to the Cartesian (x1, x2, x3).
+
+    x3 = alpha sinh(xi) / (cosh(xi) - cos(theta)), the transverse radius is
+    alpha sin(theta) / (cosh(xi) - cos(theta)). The point xi = 0, theta = 0
+    is the point at infinity and is rejected. The denominator is formed
+    as 2*(sinh(xi/2)^2 + sin(theta/2)^2), which is the same quantity
+    without the cancellation the direct difference suffers when both
+    angles are small.
+    """
+    d = 2.0 * (math.sinh(0.5 * p.xi) ** 2 + math.sin(0.5 * p.theta) ** 2)
+    if d == 0.0:
+        raise ValueError("xi=0, theta=0 is the point at infinity")
+    rho = frame.alpha * math.sin(p.theta) / d
+    return rho * math.cos(p.phi), rho * math.sin(p.phi), frame.alpha * math.sinh(p.xi) / d
 
 
 class QuadratureConvergenceError(RuntimeError):

@@ -13,6 +13,11 @@ identically: the antisymmetric mode cannot be excited at leading order
 by a wave that is constant across the pair, which is the screening
 effect probed by the tests.
 
+This module gives the amplitudes a and b. The field u is the caller's
+sum: V_1 and V_2 at a point come from one `fields.potential_field` call,
+and u_n = d_n V_1 + V_2 with the eigenvector ratios d_n of
+`spectra.eigen`.
+
 The amplitudes have one implementation, _amplitudes, over a grid of
 frequencies: modal_coefficients is its grid of one omega and
 response_curve takes the moduli of its rows. Each call checks the grid
@@ -31,9 +36,8 @@ import numpy as np
 
 from .capacitance import CapacitanceMatrix, rescale
 from .errors import PoleProximityError
-from .fields import PotentialSeries, potential_field
-from .geometry import ResonatorPair, to_bispherical
-from .spectra import Material, SpectralPair, eigen, resonant_frequencies
+from .geometry import ResonatorPair
+from .spectra import Material, eigen, resonant_frequencies
 
 # omega^2 within this much of omega_n^2 (relative) is a resonance: a and b raise there
 _POLE_GUARD = 1e-12
@@ -41,11 +45,14 @@ _POLE_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class IncidentWave:
-    """Plane wave exp(i k direction.x) of unit amplitude in the background medium."""
+    """Plane wave exp(i k direction.x) of unit amplitude, k = omega / material.v.
+
+    The amplitudes need only omega: at leading order the wave enters
+    through u_in(0) = 1.
+    """
 
     omega: float
     direction: np.ndarray
-    k: float
 
     @classmethod
     def plane_wave(cls, omega: float, direction, material: Material) -> "IncidentWave":
@@ -56,11 +63,7 @@ class IncidentWave:
         norm = float(np.linalg.norm(d))
         if norm == 0.0:
             raise ValueError("direction must be nonzero")
-        return cls(omega=omega, direction=d / norm, k=omega / material.v)
-
-    def value(self, x) -> complex:
-        x = np.asarray(x, dtype=float)
-        return complex(np.exp(1j * self.k * float(self.direction @ x)))
+        return cls(omega=omega, direction=d / norm)
 
 
 @dataclass(frozen=True)
@@ -174,27 +177,6 @@ def modal_coefficients(
         omega1=om1,
         omega2=om2,
     )
-
-
-def eval_scattered(
-    mc: ModalCoefficients,
-    ps: PotentialSeries,
-    sp: SpectralPair,
-    wave: IncidentWave,
-    x,
-) -> complex:
-    """Total field u at an exterior Cartesian point.
-
-    u_in is evaluated with its true phase; the correction terms are the
-    static potentials, which is the leading-order picture.
-    """
-    x = np.asarray(x, dtype=float)
-    p = to_bispherical(ps.frame, x)
-    v1, v2 = (float(v) for v in potential_field(ps, [p.xi], [p.theta]).v[:, 0])
-    u1 = sp.d1 * v1 + v2
-    u2 = sp.d2 * v1 + v2
-    u0 = wave.value(np.zeros(3))
-    return wave.value(x) - u0 * (v1 + v2) + mc.a * u1 + mc.b * u2
 
 
 def response_curve(

@@ -59,10 +59,6 @@ class Material:
     def delta(self) -> float:
         return self.rho_b / self.rho
 
-    @property
-    def tau(self) -> float:
-        return self.v_b / self.v
-
 
 @dataclass(frozen=True)
 class SpectralPair:

@@ -12,12 +12,10 @@ import time
 import numpy as np
 
 from bisphere import (
-    CartesianPoint,
     IncidentWave,
     Material,
     ResonatorPair,
     blowup_study,
-    boundary_distance,
     capacitance_asymptotic_rescaled,
     capacitance_exact,
     eigen,
@@ -53,6 +51,14 @@ def _finish(name: str, ok: bool, detail: str, t0: float, budget: float) -> None:
     print(line)
     assert ok, line
     assert in_budget, f"{name}: {elapsed:.1f}s exceeded the {budget:.0f}s budget"
+
+
+def _boundary_distance(frame, x) -> float:
+    """Distance from the point x to the nearer sphere surface, negative inside a sphere."""
+    x1, x2, x3 = x
+    d1 = math.hypot(x1, x2, x3 - frame.c1) - frame.r1
+    d2 = math.hypot(x1, x2, x3 - frame.c2) - frame.r2
+    return min(d1, d2)
 
 
 def test_criterion_1_capacitance_against_both_oracles():
@@ -276,12 +282,12 @@ def test_criterion_9_analytic_gradients_and_fd_laplacian():
     pts = []
     while len(pts) < 50:
         x = rng.uniform(-4.0, 4.0, size=3)
-        if boundary_distance(frame, tuple(x)) > 0.05:
+        if _boundary_distance(frame, x) > 0.05:
             pts.append(x)
 
     def v_field(j):
         def f(y):
-            return eval_potential(ps, j, to_bispherical(frame, CartesianPoint(*y)))
+            return eval_potential(ps, j, to_bispherical(frame, y))
 
         return f
 
@@ -289,14 +295,14 @@ def test_criterion_9_analytic_gradients_and_fd_laplacian():
         d_n = (sp.d1, sp.d2)[n - 1]
 
         def f(y):
-            b = to_bispherical(frame, CartesianPoint(*y))
+            b = to_bispherical(frame, y)
             return potential_field(ps, [b.xi], [b.theta]).mode(d_n)[0]
 
         return f
 
     worst = 0.0
     for x in pts:
-        b = to_bispherical(frame, CartesianPoint(*x))
+        b = to_bispherical(frame, x)
         for j in (1, 2):
             ana = potential_field(ps, [b.xi], [b.theta], [b.phi]).grad[j - 1][:, 0]
             num = fd_check_gradient(v_field(j), x, h, clearance=0.05)
@@ -312,7 +318,7 @@ def test_criterion_9_analytic_gradients_and_fd_laplacian():
     # halving ratios are clean. At far points both are ~1e-11 and the
     # ratio is noise.
     x0 = np.array([1.2, 0.0, -0.3])
-    assert boundary_distance(frame, tuple(x0)) > 0.4
+    assert _boundary_distance(frame, x0) > 0.4
     lap = [abs(fd_check_laplacian(v_field(1), x0, hh)) for hh in (8e-3, 4e-3, 2e-3)]
     r10 = lap[0] / lap[1]
     r21 = lap[1] / lap[2]

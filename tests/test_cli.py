@@ -363,6 +363,27 @@ def test_error_json_covers_argparse_errors(extra, message, capsys):
     assert err.endswith(f": error: {doc['message']}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["sweep", "--quantity", "capacitance", "--r1", "1", "--r2", "2", "--eps-grid", ","],
+      "--eps-grid"),
+     (["scattering", "--r1", "1", "--r2", "2", "--eps", "0.05", "--omega-grid", ","],
+      "--omega-grid"),
+     (["resonances", "--r1", "1", "--r2", "1", "--delta-grid", ",", "--beta", "0.5"],
+      "--delta-grid")],
+)
+def test_empty_grid_exits_2_naming_the_flag(argv, flag, capsys):
+    message = f"{flag} ',' holds no values"
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert run(argv + ["--error-json"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {"error": "ConfigError", "message": message}
+
+
 def test_help_with_error_json_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["capacitance", "--help", "--error-json"])

@@ -7,7 +7,6 @@ import pytest
 
 from bisphere import (
     BisphericalPoint,
-    CartesianPoint,
     Material,
     ResonatorPair,
     blowup_study,
@@ -21,7 +20,6 @@ from bisphere import (
     potential_series,
     rescale,
     to_bispherical,
-    to_cartesian,
 )
 from bisphere.fields import (
     _GAUSS,
@@ -599,7 +597,7 @@ def test_far_field_charge(frame_12, series_12, cap_12):
         for radius in (100.0, 400.0):
             x = np.array([0.6, -0.3, 0.74])
             x *= radius / np.linalg.norm(x)
-            b = to_bispherical(frame_12, CartesianPoint(*x))
+            b = to_bispherical(frame_12, x)
             got = eval_potential(series_12, j, b) * radius
             defects.append(abs(got / want - 1.0))
             assert got == pytest.approx(want, rel=8.0 / radius)
@@ -611,7 +609,7 @@ def test_potential_sum_between_zero_and_one(frame_12, series_12, rng):
     n_checked = 0
     for _ in range(200):
         x = rng.uniform(-4.0, 4.0, size=3)
-        b = to_bispherical(frame_12, CartesianPoint(*x))
+        b = to_bispherical(frame_12, x)
         if not (-frame_12.xi1 + 1e-6 < b.xi < frame_12.xi2 - 1e-6):
             continue
         tot = eval_potential(series_12, 1, b) + eval_potential(series_12, 2, b)
@@ -653,7 +651,7 @@ def test_gradient_matches_finite_differences(frame_12, series_12, spectral_12, r
     checked = 0
     for _ in range(60):
         x = rng.uniform(-3.0, 3.0, size=3)
-        b = to_bispherical(frame_12, CartesianPoint(*x))
+        b = to_bispherical(frame_12, x)
         if not (-frame_12.xi1 + 0.03 < b.xi < frame_12.xi2 - 0.03):
             continue
         for n in (1, 2):
@@ -670,7 +668,7 @@ def test_potential_gradient_matches_fd_and_mode_combination(
     frame_12, series_12, spectral_12
 ):
     for x in ([2.5, 0.5, -1.0], [-1.4, 0.2, -0.7], [0.1, 2.2, 0.9]):
-        b = to_bispherical(frame_12, CartesianPoint(*x))
+        b = to_bispherical(frame_12, x)
 
         for j in (1, 2):
             def f(y, j=j):
@@ -689,7 +687,7 @@ def test_potential_gradient_matches_fd_and_mode_combination(
 
 def test_potential_gradient_rejects_interior_points(frame_12, series_12):
     with pytest.raises(ValueError, match="inside resonator"):
-        b = to_bispherical(frame_12, CartesianPoint(0.0, 0.0, -1.0))
+        b = to_bispherical(frame_12, (0.0, 0.0, -1.0))
         potential_field(series_12, [b.xi], [b.theta], [b.phi])
 
 
@@ -777,7 +775,7 @@ def test_far_gradient_near_the_axis_against_kelvin_images():
     ps = potential_series(frame, tol=tol)
     for x in ((0.01, 0.0, 6.0), (0.01, 0.0, -6.0), (0.0, 1e-3, 60.0), (1e-3, 0.0, -600.0),
               (0.0, 1e-3, 600.0), (0.0, 1e-3, 1e5)):
-        b = to_bispherical(frame, CartesianPoint(*x))
+        b = to_bispherical(frame, x)
         for j in (1, 2):
             want = _kelvin_grad_v(1.0, 2.0, 0.05, j, x)
             got = potential_field(ps, [b.xi], [b.theta], [b.phi]).grad[j - 1][:, 0]
@@ -789,7 +787,7 @@ def test_far_gradient_near_the_axis_against_kelvin_images():
 def test_gradient_has_no_azimuthal_component(frame_12, series_12, spectral_12):
     # the fields are axisymmetric; e_phi projection must vanish
     for x in ([0.7, 1.1, 0.4], [-1.2, 0.5, -0.9], [0.3, -2.0, 1.4]):
-        b = to_bispherical(frame_12, CartesianPoint(*x))
+        b = to_bispherical(frame_12, x)
         g = eval_grad_mode(2, spectral_12, series_12, b)
         phi = math.atan2(x[1], x[0])
         e_phi = np.array([-math.sin(phi), math.cos(phi), 0.0])
@@ -851,7 +849,7 @@ def test_h_decomposition_reconstructs_modes_pointwise(
     points = []
     while len(points) < 100:
         x = rng.uniform(-3.5, 3.5, size=3)
-        b = to_bispherical(frame_12, CartesianPoint(*x))
+        b = to_bispherical(frame_12, x)
         if -frame_12.xi1 + 1e-9 < b.xi < frame_12.xi2 - 1e-9:
             points.append(b)
 

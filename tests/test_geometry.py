@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 
 from bisphere import (
     BisphericalPoint,
-    CartesianPoint,
     RegimeUnderflowError,
     ResonatorPair,
-    boundary_distance,
     classify,
     epsilon_from_regime,
     frame_from_pair,
     log_epsilon_from_regime,
     to_bispherical,
-    to_cartesian,
 )
 from bisphere.geometry import (
     REGION_BOUNDARY,
@@ -25,6 +22,7 @@ from bisphere.geometry import (
     REGION_INSIDE_D1,
     REGION_INSIDE_D2,
 )
+from bisphere.oracle import to_cartesian
 
 # frozen with mpmath at 50 digits
 FRAME_12_005 = {
@@ -93,11 +91,11 @@ def test_frame_identities(r1, r2, eps):
 def test_sphere_level_sets(frame_12):
     # xi = xi2 must trace sphere 2, xi = -xi1 sphere 1, for every theta
     for theta in np.linspace(0.0, math.pi, 17):
-        p2 = to_cartesian(frame_12, BisphericalPoint(frame_12.xi2, theta, 0.3))
-        rho2 = math.hypot(math.hypot(p2.x1, p2.x2), p2.x3 - frame_12.c2)
+        x1, x2, x3 = to_cartesian(frame_12, BisphericalPoint(frame_12.xi2, theta, 0.3))
+        rho2 = math.hypot(math.hypot(x1, x2), x3 - frame_12.c2)
         assert rho2 == pytest.approx(frame_12.r2, rel=1e-12)
-        p1 = to_cartesian(frame_12, BisphericalPoint(-frame_12.xi1, theta, 1.2))
-        rho1 = math.hypot(math.hypot(p1.x1, p1.x2), p1.x3 - frame_12.c1)
+        x1, x2, x3 = to_cartesian(frame_12, BisphericalPoint(-frame_12.xi1, theta, 1.2))
+        rho1 = math.hypot(math.hypot(x1, x2), x3 - frame_12.c1)
         assert rho1 == pytest.approx(frame_12.r1, rel=1e-12)
 
 
@@ -111,9 +109,9 @@ def test_round_trip_random_points(frame_12, rng):
             np.linalg.norm(x - [0, 0, frame_12.alpha]),
         ) < 1e-3:
             continue
-        b = to_bispherical(frame_12, CartesianPoint(*x))
+        b = to_bispherical(frame_12, x)
         back = to_cartesian(frame_12, b)
-        assert np.allclose([back.x1, back.x2, back.x3], x, rtol=1e-12, atol=1e-12)
+        assert np.allclose(back, x, rtol=1e-12, atol=1e-12)
         n_ok += 1
     assert n_ok > 900
 
@@ -121,13 +119,13 @@ def test_round_trip_random_points(frame_12, rng):
 def test_gap_axis_parametrization(frame_12):
     # theta = pi is the segment between the near poles: x3 = alpha tanh(xi/2)
     for xi in np.linspace(-frame_12.xi1, frame_12.xi2, 11):
-        p = to_cartesian(frame_12, BisphericalPoint(xi, math.pi, 0.0))
-        assert abs(p.x1) < 1e-15 and abs(p.x2) < 1e-15
-        assert p.x3 == pytest.approx(frame_12.alpha * math.tanh(xi / 2.0), abs=1e-15)
+        x1, x2, x3 = to_cartesian(frame_12, BisphericalPoint(xi, math.pi, 0.0))
+        assert abs(x1) < 1e-15 and abs(x2) < 1e-15
+        assert x3 == pytest.approx(frame_12.alpha * math.tanh(xi / 2.0), abs=1e-15)
 
 
 def test_origin_maps_to_gap_center(frame_12):
-    b = to_bispherical(frame_12, CartesianPoint(0.0, 0.0, 0.0))
+    b = to_bispherical(frame_12, (0.0, 0.0, 0.0))
     assert b.xi == pytest.approx(0.0, abs=1e-15)
     assert b.theta == pytest.approx(math.pi, abs=1e-12)
 
@@ -136,7 +134,7 @@ def test_origin_maps_to_gap_center(frame_12):
 def test_far_xi_against_mpmath(frame_12, x3):
     # far from the spheres R1 ~ R2, where log R1^2 - log R2^2 would cancel
     x = (0.0, 1e-3, x3)
-    b = to_bispherical(frame_12, CartesianPoint(*x))
+    b = to_bispherical(frame_12, x)
     with mpmath.workdps(40):
         al = mpmath.mpf(frame_12.alpha)
         x1, x2, z = (mpmath.mpf(c) for c in x)
@@ -147,20 +145,20 @@ def test_far_xi_against_mpmath(frame_12, x3):
 @pytest.mark.parametrize("big", [1e200, 1e300])
 def test_huge_points_have_finite_coordinates(frame_12, big):
     for x in ((big, 0.0, 0.0), (0.0, 0.0, -big), (big, -big, big)):
-        b = to_bispherical(frame_12, CartesianPoint(*x))
+        b = to_bispherical(frame_12, x)
         assert all(math.isfinite(c) for c in (b.xi, b.theta, b.phi))
         # xi ~ 2 alpha x3 / |x|^2 and theta ~ 2 alpha rho / |x|^2
         r2 = (x[0] / big) ** 2 + (x[1] / big) ** 2 + (x[2] / big) ** 2
         assert b.xi == pytest.approx(2.0 * frame_12.alpha * x[2] / big / r2 / big, rel=1e-12)
         rho = math.hypot(x[0], x[1]) / big
         assert b.theta == pytest.approx(2.0 * frame_12.alpha * rho / r2 / big, rel=1e-12)
-    assert classify(frame_12, CartesianPoint(0.0, 0.0, big)) == REGION_EXTERIOR
+    assert classify(frame_12, (0.0, 0.0, big)) == REGION_EXTERIOR
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_to_bispherical_rejects_non_finite_points(frame_12, bad):
     with pytest.raises(ValueError, match="not finite"):
-        to_bispherical(frame_12, CartesianPoint(0.0, bad, 1.0))
+        to_bispherical(frame_12, (0.0, bad, 1.0))
 
 
 def test_to_cartesian_rejects_degenerate_point(frame_12):
@@ -169,26 +167,16 @@ def test_to_cartesian_rejects_degenerate_point(frame_12):
 
 
 def test_classify_regions(frame_12):
-    assert classify(frame_12, CartesianPoint(0.0, 0.0, frame_12.c1)) == REGION_INSIDE_D1
-    assert classify(frame_12, CartesianPoint(0.0, 0.0, frame_12.c2)) == REGION_INSIDE_D2
-    assert classify(frame_12, CartesianPoint(2.5, 0.5, -1.0)) == REGION_EXTERIOR
-    on_surface = CartesianPoint(0.0, frame_12.r2, frame_12.c2)
+    assert classify(frame_12, (0.0, 0.0, frame_12.c1)) == REGION_INSIDE_D1
+    assert classify(frame_12, (0.0, 0.0, frame_12.c2)) == REGION_INSIDE_D2
+    assert classify(frame_12, (2.5, 0.5, -1.0)) == REGION_EXTERIOR
+    on_surface = (0.0, frame_12.r2, frame_12.c2)
     assert classify(frame_12, on_surface) == REGION_BOUNDARY
 
 
 def test_classify_accepts_plain_triples(frame_12):
     assert classify(frame_12, (0.0, 0.0, frame_12.c1)) == REGION_INSIDE_D1
     assert classify(frame_12, np.array([2.5, 0.5, -1.0])) == REGION_EXTERIOR
-
-
-def test_boundary_distance_signs(frame_12):
-    assert boundary_distance(frame_12, (0.0, 0.0, frame_12.c1)) == pytest.approx(
-        -frame_12.r1, rel=1e-15
-    )
-    outside = (0.0, 0.0, frame_12.c2 + frame_12.r2 + 0.3)
-    assert boundary_distance(frame_12, outside) == pytest.approx(0.3, rel=1e-12)
-    on_surface = (0.0, frame_12.r2, frame_12.c2)
-    assert abs(boundary_distance(frame_12, on_surface)) < 1e-14
 
 
 def test_tiny_gap_frame_keeps_full_precision():

@@ -12,12 +12,13 @@ from bisphere import (
     ResonatorPair,
     capacitance_exact,
     eigen,
-    eval_scattered,
     frame_from_pair,
     modal_coefficients,
+    potential_field,
     rescale,
     resonant_frequencies,
     response_curve,
+    to_bispherical,
 )
 from bisphere.oracle import image_charge_capacitance
 
@@ -36,12 +37,6 @@ def test_plane_wave_validation(water_air):
         IncidentWave.plane_wave(1.0, [0.0, 0.0, 0.0], water_air)
     w = IncidentWave.plane_wave(2.0, [0.0, 0.0, 5.0], water_air)
     assert np.allclose(w.direction, Z)
-    assert w.k == pytest.approx(2.0 / water_air.v)
-    assert w.value([0.0, 0.0, 0.0]) == pytest.approx(1.0 + 0.0j)
-    # phase advances along the propagation direction
-    assert w.value([0.0, 0.0, 0.25 * math.pi / w.k]) == pytest.approx(
-        complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
-    )
 
 
 def test_symmetric_pair_cannot_excite_anti_phase_mode(water_air):
@@ -63,7 +58,7 @@ def test_modal_coefficients_against_image_charge_assembly(pair_12, cap_12, water
     wave = _wave(0.15, m)
     mc = modal_coefficients(cap_12, pair_12, m, wave)
 
-    u0 = wave.value(np.zeros(3))
+    u0 = 1.0 + 0.0j  # the unit plane wave at the origin
     i1 = -u0 * (oracle_c.c11 + oracle_c.c12)
     i2 = -u0 * (oracle_c.c21 + oracle_c.c22)
     vol1 = 4.0 * math.pi / 3.0
@@ -139,25 +134,21 @@ def test_label_swap_covariance(water_air):
 def test_scattered_correction_decays_like_monopole(
     pair_12, frame_12, cap_12, series_12, spectral_12, water_air
 ):
+    # u = u_in - u_in(0) (V_1 + V_2) + a u_1 + b u_2 with u_n = d_n V_1 + V_2,
+    # V_1 and V_2 at both radii from one potential_field call
     wave = _wave(0.15, water_air)
     mc = modal_coefficients(cap_12, pair_12, water_air, wave)
     ray = np.array([0.5, 0.2, 0.84])
     ray /= np.linalg.norm(ray)
-    mags = []
-    for radius in (30.0, 60.0):
-        x = radius * ray
-        u = eval_scattered(mc, series_12, spectral_12, wave, x)
-        mags.append(abs(u - wave.value(x)))
+    xs = [radius * ray for radius in (30.0, 60.0)]
+    points = [to_bispherical(frame_12, x) for x in xs]
+    f = potential_field(series_12, [p.xi for p in points], [p.theta for p in points])
+    u_in = np.exp(1j * wave.omega / water_air.v * (np.array(xs) @ wave.direction))
+    u0 = 1.0 + 0.0j
+    u1, u2 = f.mode(spectral_12.d1), f.mode(spectral_12.d2)
+    u = u_in - u0 * (f.v[0] + f.v[1]) + mc.a * u1 + mc.b * u2
+    mags = np.abs(u - u_in)
     assert mags[0] / mags[1] == pytest.approx(2.0, rel=0.3)
-
-
-def test_scattered_field_rejects_interior_point(
-    pair_12, frame_12, cap_12, series_12, spectral_12, water_air
-):
-    wave = _wave(0.15, water_air)
-    mc = modal_coefficients(cap_12, pair_12, water_air, wave)
-    with pytest.raises(ValueError):
-        eval_scattered(mc, series_12, spectral_12, wave, [0.0, 0.0, frame_12.c2])
 
 
 def test_response_curve_peaks_at_first_resonance(pair_12, cap_12, water_air):

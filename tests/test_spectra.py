@@ -19,7 +19,6 @@ def test_material_derived_quantities(water_air):
     assert water_air.delta == pytest.approx(1e-3, rel=1e-15)
     assert water_air.v == pytest.approx(1.0, rel=1e-15)
     assert water_air.v_b == pytest.approx(1.0, rel=1e-15)
-    assert water_air.tau == pytest.approx(1.0, rel=1e-15)
 
 
 def test_material_validation():
