@@ -49,7 +49,6 @@ from .geometry import (
     to_bispherical,
 )
 from .scattering import (
-    IncidentWave,
     ModalCoefficients,
     modal_coefficients,
     response_curve,
@@ -75,7 +74,6 @@ __all__ = [
     "ConfigError",
     "GAMMA_EULER",
     "GradientStudyRow",
-    "IncidentWave",
     "Material",
     "ModalCoefficients",
     "ModeDecomposition",

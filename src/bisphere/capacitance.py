@@ -11,9 +11,9 @@ over n >= 0, with C22 obtained by swapping xi1 and xi2. They need
 O(1/sqrt(eps)) terms, so they are summed over images instead: expanding
 1 / (1 - e^{-(2n+1) s}) in k gives, with s = xi1 + xi2 and h = 2 s,
 C11 = 8 pi alpha sum_{k>=0} G0(2 xi1 + k h) and C12 = -8 pi alpha
-sum_{k>=1} G0(k h), where G0(w) = 1 / (2 sinh(w/2)) is the field kernel
-of `fields` at theta = 0, summed by the same Euler-Maclaurin engine at a
-cost that does not depend on the gap.
+sum_{k>=1} G0(k h), where G0(w) = 1 / (2 sinh(w/2)) is the image kernel
+of `specfun` at theta = 0, summed with the Euler-Maclaurin tail that
+`fields` uses too, at a cost that does not depend on the gap.
 """
 
 from __future__ import annotations

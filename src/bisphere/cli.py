@@ -444,14 +444,14 @@ def cmd_blowup(cfg: RunConfig) -> None:
         "max_grad_u1": "1/length", "max_grad_u2": "1/length",
         "u1_times_eps_logeps": "1", "u2_times_eps": "1",
     }
-    rows = [
-        [row.epsilon, row.max_grad_u1, row.max_grad_u2, row.location.xi, a, b, c, d]
-        for row, a, b, c, d in zip(
-            study.rows,
-            study.comp_u1_eps, study.comp_u1_eps_log,
-            study.comp_u2_eps, study.comp_u2_eps_log,
-        )
-    ]
+    rows = []
+    for row in study.rows:
+        g1, g2, eps = row.max_grad_u1, row.max_grad_u2, row.epsilon
+        log_eps = abs(math.log(eps))
+        rows.append([
+            eps, g1, g2, row.location.xi,
+            g1 * eps, g1 * eps * log_eps, g2 * eps, g2 * eps * log_eps,
+        ])
     comments = [
         f"fitted-slope-u1: {study.slope_u1!r}",
         f"fitted-slope-u2: {study.slope_u2!r}",

@@ -80,12 +80,11 @@ class PotentialSeries:
     n_max is the number of image terms summed directly (the head K);
     tail_bound estimates the Euler-Maclaurin remainder of V_j, and of
     alpha * grad V_j, uniformly on the closed exterior strip. It is at
-    most tol.
+    most the tol that potential_series was given.
     """
 
     frame: BisphericalFrame
     n_max: int
-    tol: float
     tail_bound: float
 
 
@@ -145,15 +144,11 @@ class GradientStudyRow:
 
 @dataclass(frozen=True)
 class BlowupStudy:
-    """Rows plus fitted log-log slopes and compensated products."""
+    """Per-gap rows plus the fitted log-log slopes of both modes."""
 
     rows: list[GradientStudyRow]
     slope_u1: float
     slope_u2: float
-    comp_u1_eps: list[float]
-    comp_u1_eps_log: list[float]
-    comp_u2_eps: list[float]
-    comp_u2_eps_log: list[float]
 
 
 def potential_series(frame: BisphericalFrame, tol: float = 1e-10) -> PotentialSeries:
@@ -174,7 +169,7 @@ def potential_series(frame: BisphericalFrame, tol: float = 1e-10) -> PotentialSe
     bound = 2.0 * _em_remainder(h, w) * min(1.0, 2.0 * math.exp(-0.5 * _HEAD * h))
     if bound > tol:
         raise ValueError(f"tolerance {tol:g} is below the field kernel's remainder {bound:.1e}")
-    return PotentialSeries(frame=frame, n_max=_HEAD, tol=tol, tail_bound=bound)
+    return PotentialSeries(frame=frame, n_max=_HEAD, tail_bound=bound)
 
 
 def _add_images(total: float | np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -276,8 +271,9 @@ def potential_field(ps: PotentialSeries, xi, theta, phi=None) -> PotentialField:
     boundary value is the one-sided exterior limit. Interior points,
     non-finite values, arrays of different lengths and a gradient at the
     point at infinity, xi = theta = 0, raise ValueError, and a gradient
-    beyond the double range (gaps below eps ~ 1e-305) OverflowError. Every point goes through the same image sums with
-    their Euler-Maclaurin tail, at a cost independent of the gap, and its
+    beyond the double range (gaps below eps ~ 1e-305) OverflowError.
+    Every point goes through the same image sums with their
+    Euler-Maclaurin tail, at a cost independent of the gap, and its
     result does not depend on the other points of the batch.
     """
     frame = ps.frame
@@ -533,9 +529,8 @@ def blowup_study(
     gap pole (see GradientStudyRow). The sweep sums only the normal
     derivatives of the image sums and forms no squared norm
     (_surface_grad), so every maximum a double holds comes out finite.
-    Returns the per-gap rows, the fitted slopes of log max|grad u_n|
-    against log eps, and the compensated products max * eps and
-    max * eps * |log eps| for both modes.
+    Returns the per-gap rows and the fitted slopes of log max|grad u_n|
+    against log eps for both modes.
 
     material is accepted for interface uniformity but never read: the
     leading-order eigenmodes are purely electrostatic, so the gap
@@ -559,16 +554,4 @@ def blowup_study(
     log_eps = np.log(eps_values)
     slope1 = float(np.polyfit(log_eps, np.log([r.max_grad_u1 for r in rows]), 1)[0])
     slope2 = float(np.polyfit(log_eps, np.log([r.max_grad_u2 for r in rows]), 1)[0])
-    return BlowupStudy(
-        rows=rows,
-        slope_u1=slope1,
-        slope_u2=slope2,
-        comp_u1_eps=[r.max_grad_u1 * r.epsilon for r in rows],
-        comp_u1_eps_log=[
-            r.max_grad_u1 * r.epsilon * abs(math.log(r.epsilon)) for r in rows
-        ],
-        comp_u2_eps=[r.max_grad_u2 * r.epsilon for r in rows],
-        comp_u2_eps_log=[
-            r.max_grad_u2 * r.epsilon * abs(math.log(r.epsilon)) for r in rows
-        ],
-    )
+    return BlowupStudy(rows=rows, slope_u1=slope1, slope_u2=slope2)

@@ -6,13 +6,13 @@ electrostatics on the axis and shares no math with the series modules.
 The bispherical n-series of the capacitance sums term by term what
 `capacitance` sums over images with an Euler-Maclaurin tail. The
 Legendre series sums the potentials degree by degree, the form the
-image-sum kernel of `fields` resums, and shares no code with it. Miller's recurrence gives the
-kernel's Euler-Maclaurin tail term by term, where `fields` uses a closed
-form. The flux quadrature integrates the
-normal derivative of the public field evaluator over a sphere, which
-checks the capacitance series through a completely different identity;
-the finite difference helpers certify analytic gradients and
-harmonicity.
+image-sum kernel of `specfun` resums, and shares no code with it.
+Miller's recurrence gives the kernel's Euler-Maclaurin tail term by
+term, where `specfun` uses a closed form. The flux quadrature
+integrates the normal derivative of the public field evaluator over a
+sphere, which checks the capacitance series through a completely
+different identity; the finite difference helpers certify analytic
+gradients and harmonicity.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ def miller_em_tails(w, theta, h: float) -> np.ndarray:
     F(w + h t) / F(w) = 1 + sum_m phi_m t^m, F = 2 (cosh w - cos theta),
     phi_m = h^m / m! times 2 cosh(w) / F (m even) or 2 sinh(w) / F (m odd),
     follow J. C. P. Miller's recurrence term by term. This is the image-sum
-    kernel's tail before `fields` wrote it in closed form.
+    kernel's tail before `specfun` wrote it in closed form.
     """
     w = np.asarray(w, dtype=float)
     theta = np.asarray(theta, dtype=float)

@@ -13,10 +13,12 @@ identically: the antisymmetric mode cannot be excited at leading order
 by a wave that is constant across the pair, which is the screening
 effect probed by the tests.
 
-This module gives the amplitudes a and b. The field u is the caller's
-sum: V_1 and V_2 at a point come from one `fields.potential_field` call,
-and u_n = d_n V_1 + V_2 with the eigenvector ratios d_n of
-`spectra.eigen`.
+The incident wave is a plane wave of unit amplitude, u_in(0) = 1, so
+at leading order a and b depend on its frequency alone, not on its
+direction. This module gives the amplitudes a and b. The field u is the
+caller's sum: V_1 and V_2 at a point come from one
+`fields.potential_field` call, and u_n = d_n V_1 + V_2 with the
+eigenvector ratios d_n of `spectra.eigen`.
 
 The amplitudes have one implementation, _amplitudes, over a grid of
 frequencies: modal_coefficients is its grid of one omega and
@@ -41,29 +43,6 @@ from .spectra import Material, eigen, resonant_frequencies
 
 # omega^2 within this much of omega_n^2 (relative) is a resonance: a and b raise there
 _POLE_GUARD = 1e-12
-
-
-@dataclass(frozen=True)
-class IncidentWave:
-    """Plane wave exp(i k direction.x) of unit amplitude, k = omega / material.v.
-
-    The amplitudes need only omega: at leading order the wave enters
-    through u_in(0) = 1.
-    """
-
-    omega: float
-    direction: np.ndarray
-
-    @classmethod
-    def plane_wave(cls, omega: float, direction, material: Material) -> "IncidentWave":
-        _check_frequency(omega)
-        d = np.asarray(direction, dtype=float)
-        if d.shape != (3,):
-            raise ValueError("direction must be a 3-vector")
-        norm = float(np.linalg.norm(d))
-        if norm == 0.0:
-            raise ValueError("direction must be nonzero")
-        return cls(omega=omega, direction=d / norm)
 
 
 @dataclass(frozen=True)
@@ -158,17 +137,19 @@ def modal_coefficients(
     cmat: CapacitanceMatrix,
     pair: ResonatorPair,
     material: Material,
-    wave: IncidentWave,
+    omega: float,
 ) -> ModalCoefficients:
-    """Modal amplitudes a, b for one incident plane wave.
+    """Modal amplitudes a, b for a plane wave of unit amplitude at frequency omega.
 
-    Raises PoleProximityError when omega^2 sits within 1e-12 (relative,
-    _POLE_GUARD) of either omega_n^2; the leading-order amplitudes have a
-    genuine pole there and the expansion stops being meaningful. Warns
-    when k * max radius > 0.5.
+    At leading order the wave enters only through u_in(0) = 1, so its
+    direction does not matter. Raises ValueError for an omega that is
+    not positive and finite, and PoleProximityError when omega^2 sits
+    within 1e-12 (relative, _POLE_GUARD) of either omega_n^2; the
+    leading-order amplitudes have a genuine pole there and the expansion
+    stops being meaningful. Warns when k * max radius > 0.5.
     """
     om1, om2, num_a, num_b, b_num, den1, den2 = _amplitudes(
-        cmat, pair, material, np.array([wave.omega], dtype=float)
+        cmat, pair, material, np.array([omega], dtype=float)
     )
     return ModalCoefficients(
         a=num_a / float(den1[0]),
@@ -188,17 +169,21 @@ def response_curve(
 ) -> list[tuple[float, float, float]]:
     """(omega, |a|, |b|) rows over a frequency grid, in one pass over the grid.
 
-    Each row equals abs() of modal_coefficients' a and b for a plane
-    wave at that omega, bit for bit, and a grid raises where the first
-    of its omegas would raise in modal_coefficients. The direction and
-    the first omega are checked first. One call issues at most one
-    warning, for the omegas up to the first that raises whose
-    k * max radius exceeds 0.5.
+    Each row equals abs() of modal_coefficients' a and b at that omega,
+    bit for bit, and a grid raises where the first of its omegas would
+    raise in modal_coefficients. The direction of the plane wave is
+    checked first: three finite components, not all zero. One call
+    issues at most one warning, for the omegas up to the first that
+    raises whose k * max radius exceeds 0.5.
     """
+    d = np.asarray(direction, dtype=float)
+    if d.shape != (3,) or not np.isfinite(d).all() or not d.any():
+        raise ValueError(
+            f"direction must be three finite components, not all zero, got {direction!r}"
+        )
     omegas = np.fromiter(omega_grid, dtype=float)
     if omegas.size == 0:
         return []
-    IncidentWave.plane_wave(float(omegas[0]), direction, material)
     _, _, num_a, num_b, _, den1, den2 = _amplitudes(cmat, pair, material, omegas)
     # abs(num / den) for a complex num and a float den is
     # hypot(num.real / den, num.imag / den), bit for bit; np.abs of the

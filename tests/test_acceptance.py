@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from bisphere import (
-    IncidentWave,
     Material,
     ResonatorPair,
     blowup_study,
@@ -190,7 +189,8 @@ def test_criterion_6_gradient_blowup_rates():
     asym = blowup_study((1.0, 2.0), mat, grid, samples=400, tol=1e-8)
     sym_u1 = [r.max_grad_u1 for r in sym.rows]
     ratio_sym = max(sym_u1) / min(sym_u1)
-    ratio_asym = max(asym.comp_u1_eps_log) / min(asym.comp_u1_eps_log)
+    comp_asym = [r.max_grad_u1 * r.epsilon * abs(math.log(r.epsilon)) for r in asym.rows]
+    ratio_asym = max(comp_asym) / min(comp_asym)
     ok = (
         -1.1 <= sym.slope_u2 <= -0.9
         and -1.1 <= asym.slope_u2 <= -0.9
@@ -256,8 +256,7 @@ def test_criterion_8_response_peaks_at_resonances():
 
     pair_s = ResonatorPair(1.0, 1.0, 0.05)
     cm_s = capacitance_exact(frame_from_pair(pair_s))
-    wave = IncidentWave.plane_wave(0.15, Z_HAT, mat)
-    b_num = abs(modal_coefficients(cm_s, pair_s, mat, wave).b_numerator)
+    b_num = abs(modal_coefficients(cm_s, pair_s, mat, 0.15).b_numerator)
 
     ok = dev_a < 0.01 and dev_b < 0.01 and b_num < 1e-12
     _finish(

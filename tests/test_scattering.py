@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bisphere import (
-    IncidentWave,
     Material,
     PoleProximityError,
     ResonatorPair,
@@ -25,18 +24,22 @@ from bisphere.oracle import image_charge_capacitance
 Z = np.array([0.0, 0.0, 1.0])
 
 
-def _wave(omega, material, direction=Z):
-    return IncidentWave.plane_wave(omega, direction, material)
-
-
 def test_plane_wave_validation(water_air):
+    pair = ResonatorPair(1.0, 2.0, 0.05)
+    cmat = capacitance_exact(frame_from_pair(pair))
     for bad in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="frequency must be positive and finite"):
-            IncidentWave.plane_wave(bad, Z, water_air)
-    with pytest.raises(ValueError):
-        IncidentWave.plane_wave(1.0, [0.0, 0.0, 0.0], water_air)
-    w = IncidentWave.plane_wave(2.0, [0.0, 0.0, 5.0], water_air)
-    assert np.allclose(w.direction, Z)
+            modal_coefficients(cmat, pair, water_air, bad)
+    with pytest.raises(ValueError, match="direction"):
+        response_curve(cmat, pair, water_air, [1.0], [0.0, 0.0, 0.0])
+
+
+def test_response_curve_refuses_a_non_finite_direction(water_air):
+    pair = ResonatorPair(1.0, 2.0, 0.05)
+    cmat = capacitance_exact(frame_from_pair(pair))
+    for bad in ([math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="direction"):
+            response_curve(cmat, pair, water_air, [0.1, 0.2], bad)
 
 
 def test_symmetric_pair_cannot_excite_anti_phase_mode(water_air):
@@ -44,7 +47,7 @@ def test_symmetric_pair_cannot_excite_anti_phase_mode(water_air):
     # numerator cancels exactly, not just to rounding
     pair = ResonatorPair(1.0, 1.0, 0.05)
     cmat = capacitance_exact(frame_from_pair(pair))
-    mc = modal_coefficients(cmat, pair, water_air, _wave(0.15, water_air))
+    mc = modal_coefficients(cmat, pair, water_air, 0.15)
     assert mc.b_numerator == 0.0
     assert mc.b == 0.0
     assert mc.a != 0.0
@@ -55,8 +58,8 @@ def test_modal_coefficients_against_image_charge_assembly(pair_12, cap_12, water
     # longhand in the test
     oracle_c = image_charge_capacitance(pair_12, n_reflections=500)
     m = water_air
-    wave = _wave(0.15, m)
-    mc = modal_coefficients(cap_12, pair_12, m, wave)
+    omega = 0.15
+    mc = modal_coefficients(cap_12, pair_12, m, omega)
 
     u0 = 1.0 + 0.0j  # the unit plane wave at the origin
     i1 = -u0 * (oracle_c.c11 + oracle_c.c12)
@@ -64,8 +67,8 @@ def test_modal_coefficients_against_image_charge_assembly(pair_12, cap_12, water
     vol1 = 4.0 * math.pi / 3.0
     vol2 = 32.0 * math.pi / 3.0
     pref = m.delta * m.v_b**2 / (vol1 + vol2)
-    a_want = pref * (i1 + i2) / (wave.omega**2 - mc.omega1**2)
-    b_want = -pref * (i1 - (vol1 / vol2) * i2) / (wave.omega**2 - mc.omega2**2)
+    a_want = pref * (i1 + i2) / (omega**2 - mc.omega1**2)
+    b_want = -pref * (i1 - (vol1 / vol2) * i2) / (omega**2 - mc.omega2**2)
     assert mc.a == pytest.approx(a_want, rel=1e-9)
     assert mc.b == pytest.approx(b_want, rel=1e-9)
 
@@ -75,42 +78,38 @@ def test_amplitude_scales_with_contrast(pair_12, cap_12):
     # (up to the contrast's own shift of the pole, about delta/omega^2)
     omega = 0.2
     mats = [Material(rho=1.0, rho_b=d, kappa=1.0, kappa_b=d) for d in (1e-4, 2e-4)]
-    amps = [
-        modal_coefficients(cap_12, pair_12, m, _wave(omega, m)).a for m in mats
-    ]
+    amps = [modal_coefficients(cap_12, pair_12, m, omega).a for m in mats]
     assert abs(amps[1] / amps[0]) == pytest.approx(2.0, rel=5e-3)
 
 
 def test_wavelength_comparable_to_pair_warns(pair_12, cap_12, water_air):
     with pytest.warns(UserWarning, match="subwavelength"):
-        modal_coefficients(cap_12, pair_12, water_air, _wave(0.5, water_air))
+        modal_coefficients(cap_12, pair_12, water_air, 0.5)
 
 
 def test_pole_growth_rate(pair_12, cap_12, water_air):
     # |a| grows like 1/|omega^2 - omega_1^2| approaching the first pole
-    probe = modal_coefficients(cap_12, pair_12, water_air, _wave(0.15, water_air))
+    probe = modal_coefficients(cap_12, pair_12, water_air, 0.15)
     om1 = probe.omega1
     vals = []
     for d in (1e-3, 5e-4):
-        mc = modal_coefficients(
-            cap_12, pair_12, water_air, _wave(om1 * (1.0 + d), water_air)
-        )
+        mc = modal_coefficients(cap_12, pair_12, water_air, om1 * (1.0 + d))
         vals.append(abs(mc.a) * abs(2.0 * d + d * d))
     assert vals[0] == pytest.approx(vals[1], rel=1e-6)
 
 
 def test_pole_guard_raises(pair_12, cap_12, water_air):
-    probe = modal_coefficients(cap_12, pair_12, water_air, _wave(0.15, water_air))
+    probe = modal_coefficients(cap_12, pair_12, water_air, 0.15)
     with pytest.raises(PoleProximityError):
-        modal_coefficients(cap_12, pair_12, water_air, _wave(probe.omega1, water_air))
+        modal_coefficients(cap_12, pair_12, water_air, probe.omega1)
     with pytest.raises(PoleProximityError):
-        modal_coefficients(cap_12, pair_12, water_air, _wave(probe.omega2, water_air))
+        modal_coefficients(cap_12, pair_12, water_air, probe.omega2)
     with pytest.raises(PoleProximityError):
         response_curve(cap_12, pair_12, water_air, [probe.omega1], Z)
     # one guard, 1e-12 relative in omega^2, for both: just outside it both
     # return, with the same bits
     near = probe.omega1 * (1.0 + 1e-11)
-    mc = modal_coefficients(cap_12, pair_12, water_air, _wave(near, water_air))
+    mc = modal_coefficients(cap_12, pair_12, water_air, near)
     assert response_curve(cap_12, pair_12, water_air, [near], Z) == [
         (near, abs(mc.a), abs(mc.b))
     ]
@@ -122,9 +121,8 @@ def test_label_swap_covariance(water_air):
     pb = ResonatorPair(2.0, 1.0, 0.05)
     ca = capacitance_exact(frame_from_pair(pa), tol=1e-13)
     cb = capacitance_exact(frame_from_pair(pb), tol=1e-13)
-    wave = _wave(0.15, water_air)
-    ma = modal_coefficients(ca, pa, water_air, wave)
-    mb = modal_coefficients(cb, pb, water_air, wave)
+    ma = modal_coefficients(ca, pa, water_air, 0.15)
+    mb = modal_coefficients(cb, pb, water_air, 0.15)
     assert ma.omega1 == pytest.approx(mb.omega1, rel=1e-12)
     assert ma.omega2 == pytest.approx(mb.omega2, rel=1e-12)
     assert mb.a == pytest.approx(ma.a, rel=1e-11)
@@ -136,14 +134,14 @@ def test_scattered_correction_decays_like_monopole(
 ):
     # u = u_in - u_in(0) (V_1 + V_2) + a u_1 + b u_2 with u_n = d_n V_1 + V_2,
     # V_1 and V_2 at both radii from one potential_field call
-    wave = _wave(0.15, water_air)
-    mc = modal_coefficients(cap_12, pair_12, water_air, wave)
+    omega = 0.15
+    mc = modal_coefficients(cap_12, pair_12, water_air, omega)
     ray = np.array([0.5, 0.2, 0.84])
     ray /= np.linalg.norm(ray)
     xs = [radius * ray for radius in (30.0, 60.0)]
     points = [to_bispherical(frame_12, x) for x in xs]
     f = potential_field(series_12, [p.xi for p in points], [p.theta for p in points])
-    u_in = np.exp(1j * wave.omega / water_air.v * (np.array(xs) @ wave.direction))
+    u_in = np.exp(1j * omega / water_air.v * (np.array(xs) @ Z))
     u0 = 1.0 + 0.0j
     u1, u2 = f.mode(spectral_12.d1), f.mode(spectral_12.d2)
     u = u_in - u0 * (f.v[0] + f.v[1]) + mc.a * u1 + mc.b * u2
@@ -152,7 +150,7 @@ def test_scattered_correction_decays_like_monopole(
 
 
 def test_response_curve_peaks_at_first_resonance(pair_12, cap_12, water_air):
-    probe = modal_coefficients(cap_12, pair_12, water_air, _wave(0.15, water_air))
+    probe = modal_coefficients(cap_12, pair_12, water_air, 0.15)
     om1 = probe.omega1
     # even count: an odd symmetric grid would land its midpoint on the pole
     grid = np.linspace(0.9 * om1, 1.1 * om1, 200)
@@ -176,11 +174,15 @@ def test_response_curve_warns_outside_subwavelength_regime(water_air):
 
 
 def _loop_rows(cmat, pair, material, grid, direction):
-    """response_curve as a plain loop of modal_coefficients over the grid."""
+    """response_curve as its direction check, then a plain loop of modal_coefficients."""
+    d = np.asarray(direction, dtype=float)
+    if d.shape != (3,) or not np.isfinite(d).all() or not d.any():
+        raise ValueError(
+            f"direction must be three finite components, not all zero, got {direction!r}"
+        )
     rows = []
     for omega in grid:
-        wave = IncidentWave.plane_wave(float(omega), direction, material)
-        mc = modal_coefficients(cmat, pair, material, wave)
+        mc = modal_coefficients(cmat, pair, material, float(omega))
         rows.append((float(omega), abs(mc.a), abs(mc.b)))
     return rows
 
@@ -289,6 +291,6 @@ def test_overflowing_omega_squared_is_named(pair_12, cap_12, water_air):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(OverflowError, match=r"omega = 1e\+200: omega\^2 overflows"):
-            modal_coefficients(cap_12, pair_12, water_air, _wave(1e200, water_air))
+            modal_coefficients(cap_12, pair_12, water_air, 1e200)
         with pytest.raises(OverflowError, match=r"omega = 1e\+200: omega\^2 overflows"):
             response_curve(cap_12, pair_12, water_air, [0.05, 1e200, 2e200], Z)
