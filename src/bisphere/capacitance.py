@@ -116,8 +116,9 @@ def _image_sums(xi1: float, xi2: float) -> list[float]:
     w = np.array([[2.0 * xi1], [2.0 * xi2], [h]])
     start = w + _HEAD * h
     # one kernel pass: the head images come in one block, which add keeps
+    empty = np.empty((0, *w.shape))
     head, tails, _ = _image_pass(
-        w, 0.0, 0.0, h, slice(0, 1), np.empty((0, *w.shape)), lambda _, block: block, None
+        w, 0.0, 0.0, h, _HEAD, slice(0, 1), empty, lambda _, block: block, None
     )
     head, tails = head[:, 0, :, 0], tails[0, :, 0]
     sums = []

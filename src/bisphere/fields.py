@@ -17,23 +17,27 @@ function (DLMF 18.12.11) gives
     G(w) = (2 (cosh w - cos theta))^{-1/2},
 
 with (p, q) = (2 xi1 + xi, 2 s - xi) for V_1 and (2 xi2 - xi, 2 s + xi)
-for V_2. The first _HEAD terms are summed directly and the rest by
+for V_2. The first K terms are summed directly and the rest by
 Euler-Maclaurin (DLMF 2.10.1): the integral over [p, q] shifted by
-2 _HEAD s, by Gauss-Legendre, and _EM_ORDER Bernoulli corrections in
-closed form. The scaled Taylor coefficients of G are fixed polynomials
-in two bounded ratios X and Y, so each correction sum is one pass of
-fixed rational weights over the 25 monomials X^i Y^j with 2i + j <= 8
-(_em_sums). The kernel and its tail live in `specfun`, since the
+2 K s, by Gauss-Legendre, and _EM_ORDER Bernoulli corrections in
+closed form. The head K is chosen once per series by potential_series:
+the least in 8 ... 32 whose remainder estimate, which covers V_j and
+alpha grad V_j, is at most the caller's tol. For radii (1, 1), (1, 2),
+(0.5, 3) and (1, 10) at eps = 1 ... 1e-12, K is 8 at tol 1e-8, 8 or 9
+at 1e-10 and 10 to 14 at 1e-12. The scaled Taylor coefficients of G
+are fixed polynomials in two bounded ratios X and Y, so each correction
+sum is one pass of fixed rational weights over the 25 monomials X^i Y^j
+with 2i + j <= 8 (_em_sums). The kernel and its tail live in `specfun`, since the
 capacitance sums are the same image sums at theta = 0. The cost is the
 same at every gap.
 How many head images go through one numpy call, and whether stacked
 terms are added with one accumulate or in a loop, is decided in
-`specfun` by the batch size (_head_spans, _in_order). The last head
-block also carries the tail start and the eight Gauss nodes when it has
-room (specfun._image_pass), so for up to 58 points one kernel pass
-serves them all. Every sum
-adds its terms one at a time in a fixed order, so a point's values are
-the same bits in any batch.
+`specfun` by the batch size and K (_head_spans, _in_order). The last
+head block also carries the tail start and the eight Gauss nodes when it
+has room (specfun._image_pass), so for up to 2048 // (K + 3) points,
+186 at K = 8 and 58 at K = 32, one kernel pass serves them all. Every
+sum adds its terms one at a time in a fixed order, so a point's values
+are the same bits in any batch.
 Gradients are exact derivatives of the same sums: dG/dw = -sinh(w) G^3
 and dG/dtheta = -sin(theta) G^3. A call without azimuths asks the kernel
 and its tail for the G row alone, so it pays for no derivative sum and
@@ -57,10 +61,13 @@ import numpy as np
 
 from .capacitance import RescaledCapacitance, capacitance_exact, rescale
 from .geometry import BisphericalFrame, BisphericalPoint, ResonatorPair, frame_from_pair
-from .specfun import _HEAD, _em_remainder, _image_pass, _in_order
+from .specfun import _HEAD, _em_remainder, _em_remainder_grad, _image_pass, _in_order
 from .spectra import SpectralPair, eigen
 
 _SQRT2 = math.sqrt(2.0)
+# the fewest head images potential_series takes; fewer gained almost nothing
+# in time, and the remainder estimates were checked from this head on
+_HEAD_MIN = 8
 # 4-point Gauss-Legendre rule on [-1, 1]: (node t, weight) for nodes -t and t
 _GAUSS = ((0.8611363115940526, 0.34785484513745357), (0.33998104358485626, 0.6521451548625464))
 _GAUSS_NODES = np.array([sign * t for t, _ in _GAUSS for sign in (-1.0, 1.0)])[:, None, None]
@@ -77,10 +84,12 @@ _GRAD_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])[:, :, None]
 class PotentialSeries:
     """The image-sum kernel for one geometry.
 
-    n_max is the number of image terms summed directly (the head K);
-    tail_bound estimates the Euler-Maclaurin remainder of V_j, and of
-    alpha * grad V_j, uniformly on the closed exterior strip. It is at
-    most the tol that potential_series was given.
+    n_max is the number of image terms summed directly, the head K that
+    potential_series chose for its tol; tail_bound estimates the
+    Euler-Maclaurin remainder of V_j and of each component of
+    alpha grad V_j, uniformly on the closed exterior strip, and so of
+    alpha |grad u| in the surface sweep up to the factor |d_n| + 1. It is
+    at most the tol that potential_series was given.
     """
 
     frame: BisphericalFrame
@@ -152,24 +161,53 @@ class BlowupStudy:
 
 
 def potential_series(frame: BisphericalFrame, tol: float = 1e-10) -> PotentialSeries:
-    """The image-sum kernel for frame; tol must not be below its remainder estimate.
+    """The image-sum kernel for frame, with the least head K in 8 ... 32 that meets tol.
 
     Each tail leaves out its first omitted Bernoulli correction. Relative
     to G at the tail start, it is estimated by that of the theta = 0
-    kernel G0 (specfun._em_remainder) at the nearest start
+    kernel G0 (specfun._em_remainder, r_9) at the nearest start
     w = min(xi1, xi2) + K h, h = 2 s: the branch points of G sit at
     +-i theta (mod 2 pi i), no nearer to a real w than the pole of G0 at 0.
-    Two tails enter each V_j, and sqrt(2 d) G <= min(1, 2 e^{-K h / 2})
-    at the tail starts.
+    Two tails enter each V_j, and sqrt(2 d) G <= c_K = min(1, 2 e^{-K h / 2})
+    at the tail starts, so V_j is within 2 c_K r_9.
+
+    alpha grad V_j has the size d |(dV_j/dxi, dV_j/dtheta)|, with
+    dV_j/dxi = sinh(xi) / sqrt(2 d) S_j + sqrt(2 d) dS_j/dxi and likewise
+    for theta. Through S_j this adds sqrt(sinh^2 xi + sin^2 theta) / 2
+    times V_j's remainder, at most c r_9 c_K with c = cosh(max(xi1, xi2)).
+    The two derivative rows of the two tails add 2 c_K h^9 |B_10| / 10!
+    times d (|d^10 G / dw^10| + |d^9 (sin(theta) G^3) / dw^9|) / G, with
+    d = (c - 1) + (1 - cos(theta)). In 40-digit checks over w and theta
+    the bracket is at most 1.2 |G0^(10)| / G0 (r_10 below), and times
+    1 - cos(theta) at most min(2 r_10, 0.4 w r_9) (largest, 0.355 w r_9,
+    near w = 7.2): where G0's derivatives are large, near theta = 0, d
+    is small. So alpha grad V_j is within
+    c_K (c r_9 + 2 (1.2 (c - 1) r_10 + min(2 r_10, 0.4 w r_9))), with
+    w r_10 from specfun._em_remainder_grad. The larger of the two bounds
+    is tail_bound, and K the least head whose bound is at most tol; a tol
+    below the bound at K = _HEAD = 32 raises ValueError.
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
+    for head in range(_HEAD_MIN, _HEAD + 1):
+        bound = _tail_bound(frame, head)
+        if bound <= tol:
+            return PotentialSeries(frame=frame, n_max=head, tail_bound=bound)
+    raise ValueError(f"tolerance {tol:g} is below the field kernel's remainder {bound:.1e}")
+
+
+def _tail_bound(frame: BisphericalFrame, head: int) -> float:
+    """The remainder estimate of potential_series for a head of head images."""
     h = 2.0 * (frame.xi1 + frame.xi2)
-    w = min(frame.xi1, frame.xi2) + _HEAD * h
-    bound = 2.0 * _em_remainder(h, w) * min(1.0, 2.0 * math.exp(-0.5 * _HEAD * h))
-    if bound > tol:
-        raise ValueError(f"tolerance {tol:g} is below the field kernel's remainder {bound:.1e}")
-    return PotentialSeries(frame=frame, n_max=_HEAD, tail_bound=bound)
+    w = min(frame.xi1, frame.xi2) + head * h
+    # c and c - 1 from sinh(xi_max) = alpha / min(r1, r2), neither of which
+    # overflows or cancels
+    sh = frame.alpha / min(frame.r1, frame.r2)
+    c = math.hypot(1.0, sh)
+    cm1 = sh / (1.0 + c) * sh
+    r9, wr10 = _em_remainder(h, w), _em_remainder_grad(h, w)
+    rows = 1.2 * (cm1 / w) * wr10 + min(2.0 * wr10 / w, 0.4 * w * r9)
+    return max(2.0 * r9, c * r9 + 2.0 * rows) * min(1.0, 2.0 * math.exp(-0.5 * head * h))
 
 
 def _add_images(total: float | np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -189,7 +227,7 @@ def _add_images(total: float | np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _image_sums(
-    frame: BisphericalFrame, xi: np.ndarray, sh2: np.ndarray, st: np.ndarray, grad: bool
+    ps: PotentialSeries, xi: np.ndarray, sh2: np.ndarray, st: np.ndarray, grad: bool
 ) -> np.ndarray:
     """S, dS/dxi and dS/dtheta stacked, shape (3, 2, N), with V_j = sqrt(2 d) S[0, j - 1].
 
@@ -197,13 +235,15 @@ def _image_sums(
     grad False only S is summed, shape (1, 2, N): the kernel and its
     tail form the G row alone, so a value-only call pays for no
     derivative and none can overflow; S has the same bits either way.
-    The head images, the tail and the eight Gauss nodes go through
-    specfun._image_pass, the nodes as two extra pseudo-images of four
-    rows each, so for up to 58 points one kernel pass serves them all.
+    The ps.n_max head images, the tail and the eight Gauss nodes go
+    through specfun._image_pass, the nodes as two extra pseudo-images of
+    four rows each, so for up to 2048 // (K + 3) points one kernel pass
+    serves them all.
     Every operation acts elementwise on the points and every sum adds
     its terms one at a time in a fixed order, so a point's sums do not
     depend on the batch it comes in.
     """
+    frame, head = ps.frame, ps.n_max
     h = 2.0 * (frame.xi1 + frame.xi2)
     rows = slice(None) if grad else slice(0, 1)
     # image arguments, rows p_1, p_2, q_1, q_2; S_j sums G(p_j) - G(q_j). With
@@ -212,16 +252,16 @@ def _image_sums(
     # the Gauss nodes mid + t half of the Euler-Maclaurin integrals over
     # [p, q] + K h, node by node (-t_1, +t_1, -t_2, +t_2) and V_1, V_2 within
     # a node, which read as two images of four rows
-    start = w + _HEAD * h
+    start = w + head * h
     mid, half = 0.5 * (start[:2] + start[2:]), 0.5 * (start[2:] - start[:2])
     nodes = _GAUSS_NODES * half
     nodes += mid
     # S, dS/dxi with V_1's sign dp/dxi = +1, and -dS/dtheta; all three rows,
     # or G alone. The head images added in turn, then the Euler-Maclaurin
-    # tail from k = _HEAD: the closed-form corrections, and the integrals
+    # tail from k = K: the closed-form corrections, and the integrals
     # by Gauss-Legendre, which need no dG/dw
     sums, tails, g = _image_pass(
-        w, sh2, st, h, rows, nodes.reshape(len(_GAUSS), *w.shape), _add_images, 0.0
+        w, sh2, st, h, head, rows, nodes.reshape(len(_GAUSS), *w.shape), _add_images, 0.0
     )
     g = g[:, ::2] * _GAUSS_WEIGHTS
     sums[0::2] += half / h * (g[0, :, :2] + g[0, :, 2:] + g[1, :, :2] + g[1, :, 2:])
@@ -293,12 +333,12 @@ def potential_field(ps: PotentialSeries, xi, theta, phi=None) -> PotentialField:
     trig = np.empty((2, xi.size))
     st = np.sin(theta, out=trig[1])
     if phi is None:
-        sums = _image_sums(frame, xi, sh2, st, False)
+        sums = _image_sums(ps, xi, sh2, st, False)
         return PotentialField(v=_SQRT2 * sqd * sums[0], grad=None)
     # below eps ~ 1e-305 the derivative rows overflow; that is reported once,
     # after the assembly, as OverflowError rather than as RuntimeWarnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sums = _image_sums(frame, xi, sh2, st, True)
+        sums = _image_sums(ps, xi, sh2, st, True)
         # alpha (dV_j/dxi, dV_j/dtheta)
         np.sinh(xi, out=trig[0])
         f = _SQRT2 * ((0.5 * trig / sqd)[:, None] * sums[0] + sqd * sums[1:])
@@ -432,13 +472,13 @@ def _surface_grad(
     2 xi2 and q_1 = p_1 + h. So each dS_j/dxi is +-2 T(w), less dG/dw(w)
     for the sphere's own potential, with the one-sided sums
     T(w) = sum_{k>=0} dG/dw(w + k h) from w = xi1, xi1 + 2 xi2, xi2 and
-    xi2 + 2 xi1: the _HEAD head images and the Euler-Maclaurin tail,
+    xi2 + 2 xi1: the ps.n_max head images and the Euler-Maclaurin tail,
     which holds the integral, of specfun._image_pass, asked for the
-    dG/dw row alone. The four
-    start points broadcast against the angles, so the exponentials run
-    once per image, and no value sum, theta-derivative or Gauss node is
-    needed. No squared norm is formed, so a gradient is finite wherever
-    it is representable.
+    dG/dw row alone. The four start points broadcast against the angles,
+    so the exponentials run once per image, and no value sum,
+    theta-derivative or Gauss node is needed. No squared norm is formed,
+    so a gradient is finite wherever it is representable; one that is
+    not (below eps ~ 1e-307 for radii (1, 2)) raises OverflowError.
     """
     frame = ps.frame
     xi1, xi2 = frame.xi1, frame.xi2
@@ -449,26 +489,34 @@ def _surface_grad(
     theta = np.append(math.pi - u, math.pi)
     sh2, st = np.square(np.sin(0.5 * theta)), np.sin(theta)
     w = np.array([xi1, xi1 + 2.0 * xi2, xi2, xi2 + 2.0 * xi1])[:, None]
-    # T(w): the head terms dG/dw(w + k h), k < _HEAD, added in turn, then the tail
-    (first, t), tails, _ = _image_pass(
-        w, sh2, st, h, slice(1, 2), np.empty((0, *w.shape)), _one_sided, (None, 0.0)
-    )
-    t = t + tails[0]
-    # (xi0, dS_1/dxi, dS_2/dxi) on sphere 1, then on sphere 2
-    spheres = (
-        (-xi1, 2.0 * t[0] - first[0], -2.0 * t[1]),
-        (xi2, 2.0 * t[3], first[2] - 2.0 * t[2]),
-    )
-    g = np.empty((2, len(ratios), theta.size))
-    for i, (xi0, ds1, ds2) in enumerate(spheres):
-        # d in half-angle form, which does not cancel near the theta = 0 pole
-        d = 2.0 * (math.sinh(0.5 * xi0) ** 2 + sh2)
-        root = np.sqrt(2.0 * d)
-        f = [root * ds1, root * ds2]
-        f[i] += math.sinh(xi0) / (2.0 * d)
-        to_cartesian = d / frame.alpha
-        for k, d_n in enumerate(ratios):
-            g[i, k] = to_cartesian * np.abs(d_n * f[0] + f[1])
+    # T(w): the head terms dG/dw(w + k h), k < K, added in turn, then the tail.
+    # Below eps ~ 1e-307 the sums pass the double range; that is reported
+    # once, as OverflowError, rather than as RuntimeWarnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        empty = np.empty((0, *w.shape))
+        (first, t), tails, _ = _image_pass(
+            w, sh2, st, h, ps.n_max, slice(1, 2), empty, _one_sided, (None, 0.0)
+        )
+        t = t + tails[0]
+        # (xi0, dS_1/dxi, dS_2/dxi) on sphere 1, then on sphere 2
+        spheres = (
+            (-xi1, 2.0 * t[0] - first[0], -2.0 * t[1]),
+            (xi2, 2.0 * t[3], first[2] - 2.0 * t[2]),
+        )
+        g = np.empty((2, len(ratios), theta.size))
+        for i, (xi0, ds1, ds2) in enumerate(spheres):
+            # d in half-angle form, which does not cancel near the theta = 0 pole
+            d = 2.0 * (math.sinh(0.5 * xi0) ** 2 + sh2)
+            root = np.sqrt(2.0 * d)
+            f = [root * ds1, root * ds2]
+            f[i] += math.sinh(xi0) / (2.0 * d)
+            to_cartesian = d / frame.alpha
+            for k, d_n in enumerate(ratios):
+                g[i, k] = to_cartesian * np.abs(d_n * f[0] + f[1])
+    if not np.isfinite(g).all():
+        raise OverflowError(
+            f"the surface gradient passes the double range for the gap eps = {frame.epsilon:g}"
+        )
     return theta, g
 
 

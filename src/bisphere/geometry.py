@@ -84,7 +84,9 @@ def frame_from_pair(pair: ResonatorPair) -> BisphericalFrame:
 
     Every factor under the root is formed without cancellation, so these
     double-precision formulas stay within a few ulps of a 50-digit
-    evaluation for gaps down to 1e-307.
+    evaluation for gaps down to 1e-307. Above eps ~ 1e78 (for unit radii)
+    the product under the root overflows, and a frame quantity that is
+    not finite raises ValueError.
     """
     r1, r2, eps = pair.r1, pair.r2, pair.epsilon
     alpha = math.sqrt(
@@ -94,6 +96,10 @@ def frame_from_pair(pair: ResonatorPair) -> BisphericalFrame:
     xi2 = math.asinh(alpha / r2)
     c1 = -math.hypot(r1, alpha)
     c2 = math.hypot(r2, alpha)
+    if not all(map(math.isfinite, (alpha, xi1, xi2, c1, c2))):
+        raise ValueError(
+            f"the frame of radii ({r1:g}, {r2:g}) and gap eps = {eps:g} passes the double range"
+        )
     return BisphericalFrame(
         alpha=alpha, xi1=xi1, xi2=xi2, c1=c1, c2=c2, r1=r1, r2=r2, epsilon=eps
     )

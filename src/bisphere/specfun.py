@@ -10,15 +10,17 @@ kernel and the tail form G, dG/dw and sin(theta) G^3 as rows, and each
 caller asks for the rows it reads.
 
 The batch policy of those sums lives here too. A batch of N points
-sends up to _STACK // N head images through one kernel call
-(_head_spans); a small batch (at most _SMALL points) adds stacked terms
-with one accumulate and a large one, whose arrays would outgrow the
-cache, in a loop (_in_order, _em_sums). Either way every sum adds its
-terms one at a time in a fixed order, so a point's values are the same
-bits in any batch. The kernel is _parts, then _rows. One pass over the
-images (_image_pass) sends the last head block, the tail start and any
-extra arguments of the caller through one _parts and _rows call, and
-the tail takes its G factors from the rows at the start.
+sends up to _STACK // N of its K head images through one kernel call
+(_head_spans), where K, at most _HEAD, is the caller's: the field
+kernel's tol picks it, and the capacitance takes _HEAD. A small batch
+(at most _SMALL points) adds stacked terms with one accumulate and a
+large one, whose arrays would outgrow the cache, in a loop (_in_order,
+_em_sums). Either way every sum adds its terms one at a time in a fixed
+order, so a point's values are the same bits in any batch. The kernel
+is _parts, then _rows. One pass over the images (_image_pass) sends the
+last head block, the tail start and any extra arguments of the caller
+through one _parts and _rows call, and the tail takes its G factors
+from the rows at the start.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ def digamma_series_tail(p: float, q: float) -> float:
 # --------------------------------------------------------------------------
 # image kernel and its Euler-Maclaurin tail
 
-_HEAD = 32  # image terms summed directly
+_HEAD = 32  # image terms summed directly, at most, and by the capacitance
 # head images x points per stacked numpy call; of 1024, 2048 and 4096,
 # 2048 gave the fastest potential_field from 8 to 800 points and was
 # within 5 % of the best at 1 and 1600 points
@@ -77,7 +79,9 @@ _IMAGES = np.arange(_HEAD + 1.0)[:, None, None]  # k of the images w + k h, and 
 _ROWS = range(3)  # G, dG/dw and sin(theta) G^3, the rows of _kernel and of the tails
 _EM_ORDER = 4  # Bernoulli corrections in the tail, B_2 ... B_8
 _B_NEXT = 5.0 / 66.0  # B_10, of the first omitted correction
-_SMALL = _STACK // _HEAD  # a batch of at most this many points stacks everything
+# a batch of at most this many points adds stacked terms with one accumulate;
+# at K = _HEAD it is also the largest whose head fits one stacked call
+_SMALL = _STACK // _HEAD
 # the tails' monomials X^i Y^j, 2 i + j <= 2 _EM_ORDER, by degree 2 i + j
 _MONOMIALS = tuple((i, n - 2 * i) for n in range(2 * _EM_ORDER + 1) for i in range(n // 2 + 1))
 _MONO_I = np.array([i for i, _ in _MONOMIALS])
@@ -147,6 +151,8 @@ _UNDERFLOW_SCALE = 2.0 ** 600  # keeps D normal down to the smallest subnormal w
 # |G0^(9)(w)| / G0(w) = 2^-9 coth(w/2) Q(csch^2(w/2)), Q(t) = sum_j _REMAINDER_Q[j] t^j,
 # from csch^(m+1) = csch P_(m+1)(coth), P_(m+1)(c) = -c P_m(c) - (c^2 - 1) P_m'(c)
 _REMAINDER_Q = (1.0, 4920.0, 115920.0, 423360.0, 362880.0)
+# |G0^(10)(w)| / G0(w) = 2^-10 R(csch^2(w/2)), R(t) = sum_j _REMAINDER_R[j] t^j, likewise
+_REMAINDER_R = (1.0, 14762.0, 599280.0, 3659040.0, 6652800.0, 3628800.0)
 
 
 def _parts(w: np.ndarray, sh2: np.ndarray, st: np.ndarray):
@@ -217,8 +223,8 @@ def _kernel(
 
 
 @functools.lru_cache(maxsize=64)
-def _head_spans(n: int, extra: int) -> tuple[slice, ...]:
-    """The head images k < _HEAD in blocks of consecutive k, as slices of _IMAGES.
+def _head_spans(n: int, extra: int, head: int) -> tuple[slice, ...]:
+    """The head images k < head in blocks of consecutive k, as slices of _IMAGES.
 
     A block holds up to _STACK // n images for a batch of n points, so a
     small batch sends the whole head through one kernel call and does not
@@ -226,12 +232,12 @@ def _head_spans(n: int, extra: int) -> tuple[slice, ...]:
     would outgrow the cache, takes one image a call. extra more images
     ride in the last block when it has room for them; otherwise an empty
     block is added at the end to take them, so no block grows past its
-    share of _STACK.
+    share of _STACK. head is at most _HEAD and is part of the cache key.
     """
     depth = max(_STACK // max(n, 1), 1)
-    spans = [slice(k0, min(k0 + depth, _HEAD)) for k0 in range(0, _HEAD, depth)]
+    spans = [slice(k0, min(k0 + depth, head)) for k0 in range(0, head, depth)]
     if spans[-1].stop - spans[-1].start + extra > depth:
-        spans.append(slice(_HEAD, _HEAD))
+        spans.append(slice(head, head))
     return tuple(spans)
 
 
@@ -254,16 +260,19 @@ def _in_order(op: np.ufunc, a: np.ndarray) -> np.ndarray:
     return a[-1]
 
 
-def _image_pass(w, sh2, st, h: float, rows: slice, extra: np.ndarray, add, total):
-    """Folds add over the kernel rows of the head images w + k h, k < _HEAD; with the tail.
+def _image_pass(w, sh2, st, h: float, head: int, rows: slice, extra: np.ndarray, add, total):
+    """Folds add over the kernel rows of the head images w + k h, k < head; with the tail.
 
     Returns (total, tails, rows at extra): total after add(total, block)
     for each head block of _head_spans in turn; the Euler-Maclaurin tails
-    of G, dG/dw and sin(theta) G^3 at the tail start w + _HEAD h, the sum
-    over k >= _HEAD less the integral from there divided by h, stacked;
-    and _kernel at the arguments extra, of shape (E, *w.shape). w has two
-    axes (start points, then points or 1) and the angles give the N
-    points; only the rows in the slice rows are formed. The last head
+    of G, dG/dw and sin(theta) G^3 at the tail start w + head h, the sum
+    over k >= head less the integral from there divided by h, stacked;
+    and _kernel at the arguments extra, of shape (E, *w.shape). head, the
+    number of images summed directly, is at most _HEAD: the field kernel
+    takes it from its tolerance (fields.potential_series), the
+    capacitance takes _HEAD. w has two axes (start points, then points
+    or 1) and the angles give the N points; only the rows in the slice
+    rows are formed. The last head
     block also holds the tail start and extra, so one _parts and _rows
     pass serves them all; when the head leaves it no room, it holds these
     alone and add is not called on it. Each tail is its monomial sum
@@ -271,16 +280,16 @@ def _image_pass(w, sh2, st, h: float, rows: slice, extra: np.ndarray, add, total
     rows at the tail start, or G formed there when rows lacks it. On the
     subnormal path of _parts these factors carry 1 and 3 factors of its
     scale, a power of two, so the tails carry 1, 1 and 3. Every value is
-    elementwise, so the blocks are the one _kernel call over all _HEAD
+    elementwise, so the blocks are the one _kernel call over all head
     images, and the rest the kernel and tail at their own arguments, bit
     for bit.
     """
-    *spans, last = _head_spans(np.size(sh2), 1 + len(extra))
+    *spans, last = _head_spans(np.size(sh2), 1 + len(extra), head)
     for ks in spans:
         total = add(total, _kernel(w + _IMAGES[ks] * h, sh2, st, rows))
     k = last.stop - last.start
     args = np.empty((k + 1 + len(extra), *w.shape))
-    np.add(w, _IMAGES[last.start:] * h, out=args[:k + 1])
+    np.add(w, _IMAGES[last.start:head + 1] * h, out=args[:k + 1])
     args[k + 1:] = extra
     parts = _parts(args, sh2, st)
     # each array is let go once read, and the tail sums' temporaries before
@@ -387,3 +396,22 @@ def _em_remainder(h: float, w: float) -> float:
     for j in reversed(range(len(_REMAINDER_Q))):
         acc = acc * t + _REMAINDER_Q[j] * a ** (8 - 2 * j)
     return _B_NEXT / math.factorial(10) * a_coth * acc
+
+
+def _em_remainder_grad(h: float, w: float) -> float:
+    """w |B_10| / 10! h^9 |G0^(10)(w)| / G0(w), the next derivative's _em_remainder times w.
+
+    The first Bernoulli correction left out of the sum of G0'(w + k h)
+    over k >= 0, relative to G0(w), times w, which keeps it finite as w
+    and h vanish together: it tends to 10 times _em_remainder for small
+    w and to half of it, over w, for large w. With a = h / 2 and
+    u = (a csch(w / 2))^2 it is |B_10| / 10! (w / 2a) sum_j R_j u^j a^(10 - 2j):
+    positive terms, and no power of csch(w / 2) alone, which overflows
+    for small w.
+    """
+    a = 0.5 * h
+    u = (2.0 * a * math.exp(-0.5 * w) / -math.expm1(-w)) ** 2
+    acc = 0.0
+    for j in reversed(range(len(_REMAINDER_R))):
+        acc = acc * u + _REMAINDER_R[j] * a ** (10 - 2 * j)
+    return _B_NEXT / math.factorial(10) * (0.5 * w / a) * acc

@@ -8,6 +8,7 @@ import pytest
 from bisphere import (
     BisphericalPoint,
     Material,
+    PotentialSeries,
     ResonatorPair,
     blowup_study,
     capacitance_asymptotic_rescaled,
@@ -24,12 +25,14 @@ from bisphere import (
 from bisphere.fields import (
     _GAUSS,
     _HEAD,
+    _HEAD_MIN,
     _PAIR_SIGNS,
     _add_images,
     _image_sums,
     _in_order,
     _surface_grad,
     _surface_grad_max,
+    _tail_bound,
     potential_field,
 )
 from bisphere.oracle import (
@@ -52,14 +55,16 @@ from bisphere.specfun import (
 )
 
 
-def _image_sums_at(frame, xi, theta, grad=True):
-    """_image_sums with the half-angle terms that potential_field forms for it."""
-    return _image_sums(frame, xi, np.square(np.sin(0.5 * theta)), np.sin(theta), grad)
+def _image_sums_at(frame, xi, theta, grad=True, head=_HEAD):
+    """_image_sums with a head of head images and the half-angle terms of potential_field."""
+    ps = PotentialSeries(frame=frame, n_max=head, tail_bound=0.0)
+    return _image_sums(ps, xi, np.square(np.sin(0.5 * theta)), np.sin(theta), grad)
 
 
 def _tails_at(w, sh2, st, h, rows=slice(None)):
     """The Euler-Maclaurin tails of specfun._image_pass from w, at the tail start w + _HEAD h."""
-    return _image_pass(w, sh2, st, h, rows, np.empty((0, *w.shape)), lambda t, _: t, None)[1]
+    empty = np.empty((0, *w.shape))
+    return _image_pass(w, sh2, st, h, _HEAD, rows, empty, lambda t, _: t, None)[1]
 
 
 def _tails_reference(w, sh2, st, h, rows=slice(None)):
@@ -83,6 +88,69 @@ def _thetas(n=200):
 def test_potential_series_metadata(series_12):
     assert series_12.n_max > 0
     assert series_12.tail_bound <= 1e-10
+
+
+@pytest.mark.parametrize("radii", [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (1.0, 10.0)])
+def test_head_is_the_least_that_meets_tol(radii):
+    # n_max is the least K in 8 ... 32 whose remainder estimate is at most
+    # tol, and tail_bound is that estimate; a tol below the estimate at
+    # K = 32 raises
+    for eps in (3.0, 1e-1, 1e-4, 1e-12, 1e-300):
+        frame = frame_from_pair(ResonatorPair(*radii, eps))
+        bounds = [_tail_bound(frame, k) for k in range(_HEAD_MIN, _HEAD + 1)]
+        assert all(b >= a for a, b in zip(bounds[1:], bounds))
+        for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-15):
+            if tol < bounds[-1]:
+                with pytest.raises(ValueError, match="below the field kernel's remainder"):
+                    potential_series(frame, tol=tol)
+                continue
+            ps = potential_series(frame, tol=tol)
+            k = ps.n_max - _HEAD_MIN
+            assert ps.tail_bound == bounds[k] <= tol
+            assert k == 0 or bounds[k - 1] > tol
+        with pytest.raises(ValueError, match="below the field kernel's remainder"):
+            potential_series(frame, tol=0.5 * bounds[-1])
+    pair = ResonatorPair(1.0, 2.0, 1e-4)
+    assert potential_series(frame_from_pair(pair), 1e-8).n_max == _HEAD_MIN
+
+
+def _strip_points(frame):
+    """Points of the strip, both sphere surfaces and the axis: theta -> 0 and theta -> pi."""
+    rng = np.random.default_rng(3)
+    u = np.geomspace(1e-9, math.pi, 40)
+    edge = np.concatenate([u, math.pi - u])
+    xi = np.concatenate([rng.uniform(-frame.xi1, frame.xi2, 200), np.full(80, -frame.xi1),
+                         np.full(80, frame.xi2), rng.uniform(-frame.xi1, frame.xi2, 80)])
+    theta = np.concatenate([rng.uniform(0.0, math.pi, 200), edge, edge, edge])
+    return xi, theta
+
+
+@pytest.mark.parametrize("radii", [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0), (1.0, 10.0)])
+def test_tail_bound_covers_values_gradients_and_sweep(radii):
+    # against a K = 32 series, V, alpha grad V and the sweep of alpha |grad u|
+    # (ratios 0, 1 and -1, so within (1 + |d|) tail_bound) move by at most
+    # tail_bound plus 64 ulps of their largest size over the points
+    ulps = 64 * np.finfo(float).eps
+    ratios = [0.0, 1.0, -1.0]
+    for eps in 10.0 ** -np.arange(13):
+        frame = frame_from_pair(ResonatorPair(*radii, eps))
+        xi, theta = _strip_points(frame)
+        full = PotentialSeries(frame=frame, n_max=_HEAD, tail_bound=0.0)
+        want = potential_field(full, xi, theta, np.zeros_like(xi))
+        want_grad = frame.alpha * want.grad
+        want_sweep = frame.alpha * _surface_grad(full, ratios, 200)[1]
+        for tol in (1e-8, 1e-10, 1e-12):
+            ps = potential_series(frame, tol=tol)
+            bound = ps.tail_bound
+            got = potential_field(ps, xi, theta, np.zeros_like(xi))
+            assert np.max(np.abs(got.v - want.v)) <= bound + ulps * np.max(np.abs(want.v))
+            err = np.max(np.abs(frame.alpha * got.grad - want_grad))
+            assert err <= bound + ulps * np.max(np.abs(want_grad)), (eps, tol, ps.n_max)
+            sweep = frame.alpha * _surface_grad(ps, ratios, 200)[1]
+            size = 2.0 * np.max(want_sweep)
+            for k, d in enumerate(ratios):
+                err = np.max(np.abs(sweep[:, k] - want_sweep[:, k]))
+                assert err <= (1.0 + abs(d)) * (bound + ulps * size), (eps, tol, d)
 
 
 @pytest.mark.parametrize("eps", [0.05, 1e-3])
@@ -430,8 +498,9 @@ def test_head_blocks_concatenate_to_one_kernel_call(tiny, n):
             # no extra argument, or two pseudo-images past the tail start
             for extra in (np.empty((0, *starts.shape)), starts + _EXTRA_SHIFTS * h):
                 for rows in (slice(None), slice(0, 1), slice(1, 2)):
-                    blocks, tails, got = _image_pass(starts, sh2, st, h, rows, extra, collect, [])
-                    spans = _head_spans(n, 1 + len(extra))
+                    blocks, tails, got = _image_pass(starts, sh2, st, h, _HEAD, rows, extra,
+                                                     collect, [])
+                    spans = _head_spans(n, 1 + len(extra), _HEAD)
                     assert len(blocks) == sum(ks.stop > ks.start for ks in spans)
                     want = _kernel(starts + shifts, sh2, st, rows)
                     assert np.array_equal(np.concatenate(blocks), want)
@@ -502,7 +571,8 @@ def test_boundary_traces_at_underflowing_gaps(eps):
     # below eps ~ 1e-308 the image arguments near the theta = 0 pole are so
     # small that D = (1 - e)^2 + 4 e sin^2(theta/2) underflows unless rescaled
     frame = frame_from_pair(ResonatorPair(1.0, 2.0, eps))
-    ps = potential_series(frame, tol=1e-10)
+    # a head of K >= 29 images, whose remainder sits below the 4e-15 asked of V
+    ps = potential_series(frame, tol=1e-15)
     theta = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-170, math.pi, 200)])
     # the derivative sums, which overflow at these gaps, are not formed for V
     # alone, so no warning fires
@@ -535,6 +605,23 @@ def test_gradient_beyond_the_double_range_raises_overflow_error():
         frame = frame_from_pair(ResonatorPair(1.0, 2.0, 1e-305))
         f = potential_field(potential_series(frame, tol=1e-10), *points(frame), phi)
         assert np.all(np.isfinite(f.v)) and np.all(np.isfinite(f.grad))
+
+
+def test_surface_sweep_beyond_the_double_range_raises_overflow_error():
+    # for radii (1, 2) the mode-2 maximum, ~3e307 at eps = 1e-307, passes the
+    # double range below it; there the sweep raises, naming the gap, and
+    # no RuntimeWarning fires on either side
+    ratios = [1.0, -2.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ps = potential_series(frame_from_pair(ResonatorPair(1.0, 2.0, 1e-307)), tol=1e-8)
+        best = _surface_grad_max(ps, ratios)
+        assert all(math.isfinite(g) and where is not None for g, where in best)
+        assert best[1][0] > 1e307
+        for eps in (1e-308, 1e-309):
+            ps = potential_series(frame_from_pair(ResonatorPair(1.0, 2.0, eps)), tol=1e-8)
+            with pytest.raises(OverflowError, match=f"for the gap eps = {eps:g}"):
+                _surface_grad_max(ps, ratios)
 
 
 def test_interior_point_rejected(frame_12, series_12):
@@ -772,7 +859,8 @@ def test_far_gradient_near_the_axis_against_kelvin_images():
     pair = ResonatorPair(1.0, 2.0, 0.05)
     frame = frame_from_pair(pair)
     tol = 1e-10
-    ps = potential_series(frame, tol=tol)
+    # the 3e-15 relative asked of the gradient needs the longer head of tol 1e-15
+    ps = potential_series(frame, tol=1e-15)
     for x in ((0.01, 0.0, 6.0), (0.01, 0.0, -6.0), (0.0, 1e-3, 60.0), (1e-3, 0.0, -600.0),
               (0.0, 1e-3, 600.0), (0.0, 1e-3, 1e5)):
         b = to_bispherical(frame, x)
@@ -967,7 +1055,9 @@ def test_surface_sweep_matches_the_full_evaluator(radii):
         pair = ResonatorPair(*radii, eps)
         frame = frame_from_pair(pair)
         sp = eigen(rescale(capacitance_exact(frame, tol=1e-10), pair))
-        ps = potential_series(frame, tol=1e-8)
+        # the two evaluators' tails differ by their truncation, which the
+        # 64 ulps of _SWEEP_ULPS leave room for only at tol 1e-15
+        ps = potential_series(frame, tol=1e-15)
         ratios = [sp.d1, sp.d2]
         theta, g = _surface_grad(ps, ratios)
         sweep = _surface_grad_max(ps, ratios)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -213,6 +214,22 @@ def test_frame_matches_50_digit_evaluation_at_tiny_gaps(r1, r2):
         for name, g, want in zip(("alpha", "xi1", "xi2", "c1", "c2"), got,
                                  _frame_50_digits(r1, r2, eps)):
             assert g == pytest.approx(float(want), rel=1e-14), (name, eps)
+
+
+@pytest.mark.parametrize("eps", [1e78, 1e80])
+def test_frame_beyond_the_double_range_raises(eps):
+    # the product under alpha's root overflows from eps ~ 1e78 for radii (1, 2),
+    # which would leave alpha, xi and the centres inf
+    with pytest.raises(ValueError, match=re.escape(f"gap eps = {eps:g}")):
+        frame_from_pair(ResonatorPair(1.0, 2.0, eps))
+
+
+def test_huge_finite_frame_is_unchanged():
+    fr = frame_from_pair(ResonatorPair(1.0, 2.0, 1e70))
+    got = (fr.alpha, fr.xi1, fr.xi2, fr.c1, fr.c2)
+    for name, g, want in zip(("alpha", "xi1", "xi2", "c1", "c2"), got,
+                             _frame_50_digits(1.0, 2.0, 1e70)):
+        assert g == pytest.approx(float(want), rel=1e-14), name
 
 
 def test_regime_gap_monotone_and_consistent():

@@ -5,7 +5,8 @@ numpy version and SIMD features they were made with, every float must
 match bit for bit and every CLI output byte for byte. Elsewhere numpy's
 SIMD exp and log may round an ulp differently, so each float may then
 differ by up to ULP_BUDGET ulps, and the test says so in a warning.
-A mismatch lists every entry that differs, with its distance in ulps.
+A mismatch lists every entry that differs, with its largest distance in
+ulps and its largest absolute difference.
 """
 
 import json
@@ -43,31 +44,53 @@ def _ulps(a: float, b: float) -> float:
     return float(abs(_ordered(a) - _ordered(b)))
 
 
-def _token_ulps(want: str, got: str, parse) -> float:
-    """The ulps between two tokens that parse as floats; inf where they differ otherwise."""
+def _abs_diff(a: float, b: float) -> float:
+    if math.isnan(a) or math.isnan(b):
+        return 0.0 if math.isnan(a) and math.isnan(b) else math.inf
+    return 0.0 if a == b else abs(a - b)
+
+
+def _token_diff(want: str, got: str, parse) -> tuple[float, float]:
+    """The ulps and the absolute difference between two tokens that parse as floats.
+
+    Both are inf where the tokens differ otherwise.
+    """
     if want == got:
-        return 0.0
+        return 0.0, 0.0
     try:
-        return _ulps(parse(want), parse(got))
+        a, b = parse(want), parse(got)
     except ValueError:
-        return math.inf
+        return math.inf, math.inf
+    return _ulps(a, b), _abs_diff(a, b)
 
 
-def _text_ulps(want: str, got: str) -> float:
-    """The largest ulp distance between the numbers of two texts that agree elsewhere."""
+def _largest(diffs) -> tuple[float, float]:
+    """The largest ulps and the largest absolute difference of (ulps, difference) pairs."""
+    diffs = list(diffs)
+    return max((u for u, _ in diffs), default=0.0), max((a for _, a in diffs), default=0.0)
+
+
+def _text_diff(want: str, got: str) -> tuple[float, float]:
+    """The largest ulps and absolute difference between the numbers of two texts.
+
+    Both are inf where the texts differ other than in their numbers.
+    """
     if want == got:
-        return 0.0
+        return 0.0, 0.0
     if _NUMBER.split(want) != _NUMBER.split(got):
-        return math.inf
+        return math.inf, math.inf
     pairs = zip(_NUMBER.findall(want), _NUMBER.findall(got))
-    return max(_token_ulps(a, b, float) for a, b in pairs)
+    return _largest(_token_diff(a, b, float) for a, b in pairs)
 
 
-def _entry_ulps(want: list, got: list) -> float:
-    """The largest ulp distance between two manifest entries (float.hex, error or warning)."""
+def _entry_diff(want: list, got: list) -> tuple[float, float]:
+    """The largest ulps and absolute difference between two manifest entries.
+
+    The entries hold float.hex values, errors or warnings.
+    """
     if len(want) != len(got):
-        return math.inf
-    return max((_token_ulps(a, b, float.fromhex) for a, b in zip(want, got)), default=0.0)
+        return math.inf, math.inf
+    return _largest(_token_diff(a, b, float.fromhex) for a, b in zip(want, got))
 
 
 def _budget() -> int:
@@ -83,10 +106,16 @@ def _budget() -> int:
     return ULP_BUDGET
 
 
-def _report(diffs: list[tuple[str, float]], budget: int) -> str:
+def _report(diffs: list[tuple[str, float, float]], budget: int) -> str:
+    """One line per differing entry: its largest ulp distance and its largest absolute difference.
+
+    An entry near zero can be many ulps off by a tiny absolute amount, so
+    both are given.
+    """
     lines = [f"{len(diffs)} golden entries differ (budget {budget} ulps):"]
-    lines += [f"  {name}: {'not a float change' if d == math.inf else f'{d:.0f} ulps'}"
-              for name, d in diffs]
+    lines += [f"  {name}: "
+              + ("not a float change" if d == math.inf else f"{d:.0f} ulps, |difference| {a:.3g}")
+              for name, d, a in diffs]
     return "\n".join(lines)
 
 
@@ -94,10 +123,11 @@ def test_library_outputs_match_the_goldens():
     budget = _budget()
     want = _load("manifest.json")
     got = make_golden.manifest()
-    diffs = [(name, _entry_ulps(want[name], got[name]) if name in got else math.inf)
+    diffs = [(name, *(_entry_diff(want[name], got[name]) if name in got
+                      else (math.inf, math.inf)))
              for name in want]
-    diffs = [(name, d) for name, d in diffs if d > budget]
-    diffs += [(name, math.inf) for name in got if name not in want]
+    diffs = [(name, d, a) for name, d, a in diffs if d > budget]
+    diffs += [(name, math.inf, math.inf) for name in got if name not in want]
     assert not diffs, _report(diffs, budget)
 
 
@@ -111,14 +141,14 @@ def test_cli_outputs_match_the_goldens():
             got = make_golden.run_cli(want["argv"])
             name = f"{group}[{k}] {' '.join(want['argv'])}"
             if got["exit"] != want["exit"] or sorted(got["files"]) != sorted(want["files"]):
-                diffs.append((f"{name}: exit code or files", math.inf))
+                diffs.append((f"{name}: exit code or files", math.inf, math.inf))
             texts = [("stdout", want["stdout"], got["stdout"]),
                      ("warnings", "\n".join(want["warnings"]), "\n".join(got["warnings"]))]
             texts += [(f, want["files"][f], got["files"].get(f, "")) for f in want["files"]]
             for part, a, b in texts:
-                d = _text_ulps(a, b)
+                d, diff = _text_diff(a, b)
                 if d > budget:
-                    diffs.append((f"{name}: {part}", d))
+                    diffs.append((f"{name}: {part}", d, diff))
     assert not diffs, _report(diffs, budget)
 
 
@@ -129,5 +159,14 @@ def test_cli_outputs_match_the_goldens():
 )
 def test_ulp_distance(want, got, ulps):
     assert _ulps(want, got) == ulps
-    assert _entry_ulps([want.hex()], [got.hex()]) == ulps
-    assert _text_ulps(f"x,{want!r}\n", f"x,{got!r}\n") == ulps
+    assert _entry_diff([want.hex()], [got.hex()]) == (ulps, abs(want - got))
+    assert _text_diff(f"x,{want!r}\n", f"x,{got!r}\n") == (ulps, abs(want - got))
+
+
+def test_report_gives_ulps_and_the_absolute_difference():
+    # a component near zero: 2.4e17 ulps apart, by 2e-300
+    d, a = _entry_diff([(1e-300).hex()], [(-1e-300).hex()])
+    assert d > 2e17 and a == 2e-300
+    report = _report([("grad", d, a), ("gone", math.inf, math.inf)], 0)
+    assert f"grad: {d:.0f} ulps, |difference| 2e-300" in report
+    assert "gone: not a float change" in report
